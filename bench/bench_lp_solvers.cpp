@@ -1,21 +1,13 @@
 // Ablation E7: the three SSB solvers.  The direct solver transcribes program
 // (2) with all commodity variables; the cutting-plane solver works on the
 // projected master LP with lazy min-cut separation; the column-generation
-// solver packs spanning arborescences (the production solver).  This bench
-// checks their agreement, tracks their cost as the platform grows to
-// paper-and-beyond sizes, and records three master ablations:
-//
-//  * column generation: incremental sparse-LU master vs the legacy
-//    dense-inverse rebuild-every-round master;
-//  * cutting plane: incremental master (append_row + dual-simplex
-//    reoptimize from the standing basis, Forrest-Tomlin updates) vs the
-//    rebuild path (cold solve from the slack basis every round).  Both
-//    paths walk the same cut trajectory and must report bitwise-identical
-//    throughput;
-//  * hypersparse LP core: the production configuration (Devex primal
-//    pricing, dual steepest-edge rows, reach-set FTRAN/BTRAN) vs the
-//    pre-hypersparse configuration (Dantzig, most-infeasible rows, full
-//    triangular sweeps), on both masters.
+// solver packs spanning arborescences.  This bench checks their agreement,
+// tracks their cost as the platform grows to paper-and-beyond sizes, and
+// records the cutting-plane master ablation: incremental master
+// (append_row + dual-simplex reoptimize from the standing basis,
+// Forrest-Tomlin updates) vs the rebuild path (cold solve from the slack
+// basis every round).  Both paths walk the same cut trajectory and must
+// report bitwise-identical throughput.
 //
 // Scaling sizes are env-tunable via BT_LP_SIZES (default 20..120; column
 // generation is skipped -- with an explicit "skipped" record -- beyond 150
@@ -268,165 +260,6 @@ int main() {
   }
   scale.render(std::cout);
 
-  // Hypersparse-core ablation: production pricing/solve configuration vs the
-  // pre-hypersparse one (Dantzig pricing, most-infeasible dual rows, full
-  // triangular sweeps), interleaved best-of-N on both masters at n = 120
-  // (the smallest size where the pricing wins clear the per-pivot weight
-  // maintenance; they grow with n -- colgen is 1.8x end-to-end at 200).
-  std::cout << "\nhypersparse core: production pricing/solve configuration vs "
-               "dantzig/most-infeasible/full-sweep:\n";
-  TablePrinter hs({"master", "legacy_ms", "hypersparse_ms", "speedup", "TP diff"});
-  {
-    const std::size_t n = 120;
-    const Platform p = instance(n, 104729);
-    const std::size_t reps = 3;
-    SsbCuttingPlaneOptions cut_legacy = cutting_default;
-    cut_legacy.master_pricing = PricingRule::kDantzig;
-    cut_legacy.master_dual_row_rule = DualRowRule::kMostInfeasible;
-    cut_legacy.master_solve_mode = BasisLu::SolveMode::kFullSweep;
-    SsbColumnGenOptions cg_legacy = colgen_default;
-    cg_legacy.master_pricing = PricingRule::kDantzig;
-    cg_legacy.master_dual_row_rule = DualRowRule::kMostInfeasible;
-    cg_legacy.master_solve_mode = BasisLu::SolveMode::kFullSweep;
-
-    (void)solve_ssb_cutting_plane(p, cutting_default);
-    (void)solve_ssb_cutting_plane(p, cut_legacy);
-    SsbSolution cut_new, cut_old;
-    double cut_new_ms = std::numeric_limits<double>::infinity();
-    double cut_old_ms = std::numeric_limits<double>::infinity();
-    double cut_new_master = std::numeric_limits<double>::infinity();
-    double cut_old_master = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < reps; ++r) {
-      {
-        Timer t;
-        cut_new = solve_ssb_cutting_plane(p, cutting_default);
-        cut_new_ms = std::min(cut_new_ms, t.millis());
-        cut_new_master = std::min(cut_new_master, cut_new.master_wall_ms);
-      }
-      {
-        Timer t;
-        cut_old = solve_ssb_cutting_plane(p, cut_legacy);
-        cut_old_ms = std::min(cut_old_ms, t.millis());
-        cut_old_master = std::min(cut_old_master, cut_old.master_wall_ms);
-      }
-    }
-    records.push_back(record(n, "cutting_legacy_core", cut_old_ms, cut_old.lp_iterations));
-    records.back().attach_stats(cut_old.lp_stats);
-    const double cut_speedup = cut_old_master / cut_new_master;
-    hs.add_row({"cutting (master)", TablePrinter::fmt(cut_old_master, 2),
-                TablePrinter::fmt(cut_new_master, 2), TablePrinter::fmt(cut_speedup, 2),
-                TablePrinter::fmt(std::abs(cut_new.throughput - cut_old.throughput), 9)});
-    summary.push_back({"cutting_hypersparse_master_speedup_n120", num(cut_speedup)});
-
-    (void)solve_ssb_column_generation(p, colgen_default);
-    (void)solve_ssb_column_generation(p, cg_legacy);
-    SsbPackingSolution cg_new, cg_old;
-    double cg_new_ms = std::numeric_limits<double>::infinity();
-    double cg_old_ms = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < reps; ++r) {
-      {
-        Timer t;
-        cg_new = solve_ssb_column_generation(p, colgen_default);
-        cg_new_ms = std::min(cg_new_ms, t.millis());
-      }
-      {
-        Timer t;
-        cg_old = solve_ssb_column_generation(p, cg_legacy);
-        cg_old_ms = std::min(cg_old_ms, t.millis());
-      }
-    }
-    records.push_back(record(n, "colgen_legacy_core", cg_old_ms, cg_old.lp_iterations));
-    records.back().attach_stats(cg_old.lp_stats);
-    const double cg_speedup = cg_old_ms / cg_new_ms;
-    hs.add_row({"colgen (end-to-end)", TablePrinter::fmt(cg_old_ms, 2),
-                TablePrinter::fmt(cg_new_ms, 2), TablePrinter::fmt(cg_speedup, 2),
-                TablePrinter::fmt(std::abs(cg_new.throughput - cg_old.throughput), 9)});
-    summary.push_back({"colgen_hypersparse_speedup_n120", num(cg_speedup)});
-  }
-  {
-    // The Devex win grows with size (it saves iterations, and iterations
-    // get costlier): ~2x at the colgen scaling cap n = 150, ~1.8x at 200.
-    // One interleaved pair of runs pins that curve point.
-    const std::size_t n = 150;
-    const Platform p = instance(n, 104729);
-    SsbColumnGenOptions cg_legacy = colgen_default;
-    cg_legacy.master_pricing = PricingRule::kDantzig;
-    cg_legacy.master_dual_row_rule = DualRowRule::kMostInfeasible;
-    cg_legacy.master_solve_mode = BasisLu::SolveMode::kFullSweep;
-    (void)solve_ssb_column_generation(p, colgen_default);
-    SsbPackingSolution cg_old, cg_new;
-    double cg_old_ms = std::numeric_limits<double>::infinity();
-    double cg_new_ms = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < 2; ++r) {
-      {
-        Timer t;
-        cg_old = solve_ssb_column_generation(p, cg_legacy);
-        cg_old_ms = std::min(cg_old_ms, t.millis());
-      }
-      {
-        Timer t;
-        cg_new = solve_ssb_column_generation(p, colgen_default);
-        cg_new_ms = std::min(cg_new_ms, t.millis());
-      }
-    }
-    records.push_back(record(n, "colgen_legacy_core", cg_old_ms, cg_old.lp_iterations));
-    records.back().attach_stats(cg_old.lp_stats);
-    records.push_back(record(n, "colgen_hypersparse", cg_new_ms, cg_new.lp_iterations));
-    records.back().attach_stats(cg_new.lp_stats);
-    const double cg_speedup = cg_old_ms / cg_new_ms;
-    hs.add_row({"colgen n=150 (end-to-end)", TablePrinter::fmt(cg_old_ms, 2),
-                TablePrinter::fmt(cg_new_ms, 2), TablePrinter::fmt(cg_speedup, 2),
-                TablePrinter::fmt(std::abs(cg_new.throughput - cg_old.throughput), 9)});
-    summary.push_back({"colgen_hypersparse_speedup_n150", num(cg_speedup)});
-  }
-  hs.render(std::cout);
-
-  // Engine ablation: the production configuration (standing incremental
-  // master on the sparse LU engine) against the pre-LU configuration (master
-  // LP rebuilt every round, dense basis inverse), same instances.
-  std::cout << "\ncolumn-generation master: incremental sparse LU vs dense rebuild:\n";
-  TablePrinter ab({"nodes", "dense_ms", "sparse_ms", "speedup", "TP diff"});
-  double speedup_n50 = 0.0;
-  for (std::size_t n : {20, 50}) {
-    const Platform p = instance(n, 104729);
-    const std::size_t reps = 20;
-
-    SsbColumnGenOptions legacy;
-    legacy.incremental_master = false;
-    legacy.master_engine = LpEngine::kDenseReference;
-    // Interleave the two configurations and keep each one's best run, so
-    // scheduler/thermal noise on shared machines hits both sides alike.
-    // One untimed warm-up per configuration first (page faults, caches).
-    (void)solve_ssb_column_generation(p, legacy);
-    (void)solve_ssb_column_generation(p);
-    SsbPackingSolution dense_solution, sparse_solution;
-    double dense_ms = std::numeric_limits<double>::infinity();
-    double sparse_ms = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < reps; ++r) {
-      {
-        Timer t;
-        dense_solution = solve_ssb_column_generation(p, legacy);
-        dense_ms = std::min(dense_ms, t.millis());
-      }
-      {
-        Timer t;
-        sparse_solution = solve_ssb_column_generation(p);
-        sparse_ms = std::min(sparse_ms, t.millis());
-      }
-    }
-
-    records.push_back(record(n, "colgen_dense_legacy", dense_ms, dense_solution.lp_iterations));
-    records.push_back(record(n, "colgen_incremental", sparse_ms, sparse_solution.lp_iterations));
-
-    const double speedup = dense_ms / sparse_ms;
-    if (n == 50) speedup_n50 = speedup;
-    ab.add_row({std::to_string(n), TablePrinter::fmt(dense_ms, 2),
-                TablePrinter::fmt(sparse_ms, 2), TablePrinter::fmt(speedup, 2),
-                TablePrinter::fmt(
-                    std::abs(dense_solution.throughput - sparse_solution.throughput), 9)});
-  }
-  ab.render(std::cout);
-
   // Cutting-plane master ablation: incremental (standing IncrementalSimplex,
   // append_row + reoptimize_dual) vs rebuild (cold solve from the slack
   // basis every round).  Separation and the final polish are identical
@@ -445,7 +278,9 @@ int main() {
     SsbCuttingPlaneOptions incremental;
     SsbCuttingPlaneOptions rebuild;
     rebuild.incremental_master = false;
-    // Interleaved best-of-N with one warm-up per configuration, as above.
+    // Interleave the two configurations and keep each one's best run, so
+    // scheduler/thermal noise on shared machines hits both sides alike.
+    // One untimed warm-up per configuration first (page faults, caches).
     (void)solve_ssb_cutting_plane(p, incremental);
     (void)solve_ssb_cutting_plane(p, rebuild);
     SsbSolution inc_solution, reb_solution;
@@ -490,7 +325,6 @@ int main() {
   }
   cp.render(std::cout);
 
-  summary.push_back({"colgen_speedup_vs_dense_n50", num(speedup_n50)});
   summary.push_back({"cutting_speedup_incremental_n80", num(cutting_speedup_n80)});
   summary.push_back({"cutting_master_speedup_incremental_n80", num(cutting_master_speedup_n80)});
   summary.push_back({"cutting_bitwise_agree", cutting_bitwise ? "true" : "false"});
@@ -590,9 +424,7 @@ int main() {
 
   write_json(records, summary);
   std::cout << "\nwrote BENCH_lp.json (" << records.size() << " records, "
-            << "colgen n=50 speedup vs dense-inverse engine: "
-            << TablePrinter::fmt(speedup_n50, 2) << "x, cutting-plane n=80 master "
-            << "speedup incremental-vs-rebuild: "
+            << "cutting-plane n=80 master speedup incremental-vs-rebuild: "
             << TablePrinter::fmt(cutting_master_speedup_n80, 2) << "x)\n";
 
   std::cout << "\nexpected: all solvers agree (rel.diff ~ 0); column generation\n"

@@ -45,10 +45,8 @@ void BM_MaxFlow(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxFlow)->Arg(10)->Arg(30)->Arg(50)->Arg(65);
 
-void BM_Simplex(benchmark::State& state, bt::LpEngine engine) {
+void BM_Simplex(benchmark::State& state) {
   // Random dense LP: max c.x, A x <= b with `rows` constraints over 20 vars.
-  // Captured twice to track the sparse LU engine against the dense-inverse
-  // reference.
   const auto rows = static_cast<std::size_t>(state.range(0));
   bt::Rng rng(7);
   bt::LpProblem lp(bt::Objective::kMaximize);
@@ -60,17 +58,11 @@ void BM_Simplex(benchmark::State& state, bt::LpEngine engine) {
     }
     lp.add_constraint(terms, bt::RowSense::kLessEqual, rng.uniform_real(5.0, 20.0));
   }
-  bt::SimplexOptions options;
-  options.engine = engine;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bt::solve_lp(lp, options));
+    benchmark::DoNotOptimize(bt::solve_lp(lp));
   }
 }
-BENCHMARK_CAPTURE(BM_Simplex, sparse_lu, bt::LpEngine::kSparse)->Arg(20)->Arg(60)->Arg(120);
-BENCHMARK_CAPTURE(BM_Simplex, dense_reference, bt::LpEngine::kDenseReference)
-    ->Arg(20)
-    ->Arg(60)
-    ->Arg(120);
+BENCHMARK(BM_Simplex)->Arg(20)->Arg(60)->Arg(120);
 
 void BM_SsbCuttingPlane(benchmark::State& state) {
   const auto platform = make_platform(static_cast<std::size_t>(state.range(0)), 0.12);

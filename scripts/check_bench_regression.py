@@ -7,12 +7,12 @@ runners are noisy, so only *large* regressions fail the bench-smoke job.
 The archive kind is dispatched on its "bench" field.
 
 BENCH_lp.json (bench "lp_solvers"):
-  * speedup fields (incremental-vs-rebuild master, hypersparse-core A/B,
-    colgen-vs-dense engine) must not fall below `SPEEDUP_FLOOR_FACTOR`
-    times the baseline value;
+  * the cutting-plane incremental-vs-rebuild master speedups must not fall
+    below `SPEEDUP_FLOOR_FACTOR` times the baseline value;
   * reach-fraction fields must not grow above `REACH_CEILING_FACTOR` times
     the baseline (a jump there means hypersparse solves stopped engaging);
-  * `cutting_bitwise_agree` must stay true (correctness, no tolerance).
+  * `cutting_bitwise_agree` and `insolver_bitwise_agree` must stay true
+    (correctness, no tolerance).
 
 BENCH_service.json (bench "service"):
   * `service_warm_over_cold_speedup` and `service_queries_per_sec` are
@@ -57,10 +57,6 @@ LATENCY_CEILING_FACTOR = 3.0   # fail when a latency triples
 LP_SPEEDUP_FIELDS = [
     "cutting_master_speedup_incremental_n80",
     "cutting_speedup_incremental_n80",
-    "colgen_speedup_vs_dense_n50",
-    "cutting_hypersparse_master_speedup_n120",
-    "colgen_hypersparse_speedup_n120",
-    "colgen_hypersparse_speedup_n150",
 ]
 LP_REACH_FIELDS = [
     "cutting_ftran_reach_fraction_n80",

@@ -3,8 +3,9 @@
 // The paper's broadcast-tree heuristics (Sections 3 and 4.2) plus the STA
 // baselines from related work (Section 6).  Every function returns a valid
 // spanning out-arborescence rooted at the platform source and throws
-// bt::Error on unusable inputs.  Interpretation choices for the paper's
-// pseudo-code on directed graphs are documented in DESIGN.md.
+// bt::Error on unusable inputs.  Where the paper's pseudo-code and prose
+// disagree, the implementation follows the prose; the choice is noted at
+// the function (grow_tree.cpp, lp_based.cpp).
 
 #include <vector>
 

@@ -14,7 +14,7 @@ BroadcastTree grow_tree(const Platform& platform) {
   // whose addition yields the smallest weighted out-degree of u, i.e.
   // cost(u,v) = OutDegree_tree(u) + T_{u,v}.  (The paper's pseudo-code
   // accumulates cost(u,v) into sibling arcs, which double-counts earlier
-  // children; we implement the metric its prose defines -- see DESIGN.md.)
+  // children; we implement the metric its prose defines.)
   std::vector<char> in_tree(n, 0);
   std::vector<double> out_degree(n, 0.0);
   in_tree[source] = 1;

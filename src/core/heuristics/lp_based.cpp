@@ -15,7 +15,7 @@ BroadcastTree lp_prune(const Platform& platform, const std::vector<double>& edge
   // Algorithm 6: delete the arcs carrying the fewest messages in the MTP
   // optimum first.  (The paper's pseudo-code says "non-increasing n_{u,v}"
   // but its prose -- "delete the edges ... [that] have minimum weight, i.e.
-  // edges carrying the fewest messages" -- fixes the intent; see DESIGN.md.)
+  // edges carrying the fewest messages" -- fixes the intent.)
   std::vector<EdgeId> order(g.num_edges());
   std::iota(order.begin(), order.end(), EdgeId{0});
   std::sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {

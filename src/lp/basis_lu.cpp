@@ -47,22 +47,9 @@ constexpr std::uint32_t kSparseProbePeriod = 16;
 
 }  // namespace
 
-void BasisLu::set_update_mode(UpdateMode mode) {
-  BT_ASSERT(updates_ == 0,
-            "BasisLu::set_update_mode: updates pending; refactorize first");
-  mode_ = mode;
-}
-
-void BasisLu::set_solve_mode(SolveMode mode) {
-  // Both strategies maintain the all-zero work_ invariant (the full sweep
-  // re-zeros each slot in its scatter pass), so switching is free.
-  solve_mode_ = mode;
-}
-
 bool BasisLu::factorize(std::size_t m, const std::vector<SparseColumnView>& columns) {
   if (fault_fire(FaultSite::kSingularRefactor)) return false;
   m_ = m;
-  etas_.clear();
   ft_etas_.clear();
   updates_ = 0;
   pivot_row_.clear();
@@ -351,7 +338,7 @@ void BasisLu::btran(ScatteredVector& x, SolveHint hint) {
 }
 
 void BasisLu::ftran_dispatch(ScatteredVector& x, SolveHint hint) {
-  bool attempt = solve_mode_ == SolveMode::kReachSet && hint != SolveHint::kDense;
+  bool attempt = hint != SolveHint::kDense;
   bool track = false;
   const std::size_t cls = hint == SolveHint::kSparse ? 1 : 0;
   if (attempt) {
@@ -373,35 +360,11 @@ void BasisLu::ftran_dispatch(ScatteredVector& x, SolveHint hint) {
     ftran_full(x);
     stats_.ftran_reach_steps += m_;
   }
-
-  // Product-form etas, oldest first (explicit about the positions they
-  // touch; shared by both solve strategies).
-  for (const Eta& e : etas_) {
-    double t = x.value[e.pivot_pos];
-    if (t == 0.0) continue;
-    t /= e.pivot_value;
-    x.value[e.pivot_pos] = t;
-    for (std::size_t s = 0; s < e.idx.size(); ++s) {
-      const std::uint32_t i = e.idx[s];
-      if (x.value[i] == 0.0) x.nonzero.push_back(i);
-      x.value[i] -= e.val[s] * t;
-    }
-  }
   compact_nonzeros(x);
 }
 
 void BasisLu::btran_dispatch(ScatteredVector& x, SolveHint hint) {
-  // Product-form eta transposes, newest first: only the eta's pivot
-  // position changes (shared by both solve strategies).
-  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-    double acc = x.value[it->pivot_pos];
-    for (std::size_t s = 0; s < it->idx.size(); ++s) acc -= it->val[s] * x.value[it->idx[s]];
-    acc /= it->pivot_value;
-    if (x.value[it->pivot_pos] == 0.0 && acc != 0.0) x.nonzero.push_back(it->pivot_pos);
-    x.value[it->pivot_pos] = acc;
-  }
-
-  bool attempt = solve_mode_ == SolveMode::kReachSet && hint != SolveHint::kDense;
+  bool attempt = hint != SolveHint::kDense;
   bool track = false;
   const std::size_t cls = hint == SolveHint::kSparse ? 1 : 0;
   if (attempt) {
@@ -738,20 +701,7 @@ void BasisLu::btran_full(ScatteredVector& x) {
 bool BasisLu::update(std::size_t leave_pos, const ScatteredVector& w) {
   const double piv = w.value[leave_pos];
   if (std::abs(piv) < kUpdateTol) return false;
-  if (mode_ == UpdateMode::kForrestTomlin) {
-    return forrest_tomlin_update(static_cast<std::uint32_t>(leave_pos), w);
-  }
-  Eta e;
-  e.pivot_pos = static_cast<std::uint32_t>(leave_pos);
-  e.pivot_value = piv;
-  for (const std::uint32_t i : w.nonzero) {
-    if (i == leave_pos || w.value[i] == 0.0) continue;
-    e.idx.push_back(i);
-    e.val.push_back(w.value[i]);
-  }
-  etas_.push_back(std::move(e));
-  ++updates_;
-  return true;
+  return forrest_tomlin_update(static_cast<std::uint32_t>(leave_pos), w);
 }
 
 bool BasisLu::forrest_tomlin_update(std::uint32_t leave_pos, const ScatteredVector& w) {
@@ -761,8 +711,8 @@ bool BasisLu::forrest_tomlin_update(std::uint32_t leave_pos, const ScatteredVect
   const std::uint32_t t = step_of_col_[leave_pos];
 
   // ---- 1. Spike s = L^{-1} a, recovered as s = U w (both in step space;
-  // valid because the Forrest-Tomlin file keeps U exact -- no product-form
-  // etas are pending).  U column c holds diag_[c] plus utrans entries.
+  // valid because the Forrest-Tomlin update keeps U exact).  U column c
+  // holds diag_[c] plus utrans entries.
   spike_nz_.clear();
   for (const std::uint32_t j : w.nonzero) {
     const double wv = w.value[j];
@@ -907,7 +857,6 @@ bool BasisLu::forrest_tomlin_update(std::uint32_t leave_pos, const ScatteredVect
 std::size_t BasisLu::factor_nonzeros() const {
   std::size_t nnz = m_;  // U diagonal
   for (std::size_t k = 0; k < m_; ++k) nnz += lrows_[k].size() + ucols_[k].size();
-  for (const Eta& e : etas_) nnz += e.idx.size() + 1;
   for (const RowEta& e : ft_etas_) nnz += e.src.size();
   return nnz;
 }

@@ -16,35 +16,25 @@
 // (dense values + the list of touched positions) so that clearing between
 // solves is O(nnz), not O(m).
 //
-// Two update strategies are available (UpdateMode):
+// Basis changes use Forrest-Tomlin updates: replace the leaving column of
+// U with the spike L^{-1} a, rotate the pivot to the end of the elimination
+// order, and eliminate the leaving row's entries with row operations that
+// are recorded as a short "row eta".  U stays genuinely triangular (in the
+// permuted order), so FTRAN/BTRAN cost stays proportional to the factor
+// fill plus the (small) row-eta file -- it does not grow with one dense eta
+// vector per pivot.  Both the row-wise U and the transposed factors used by
+// the push-style BTRAN are updated in place.
 //
-//  * Forrest-Tomlin (default): replace the leaving column of U with the
-//    spike L^{-1} a, rotate the pivot to the end of the elimination order,
-//    and eliminate the leaving row's entries with row operations that are
-//    recorded as a short "row eta".  U stays genuinely triangular (in the
-//    permuted order), so FTRAN/BTRAN cost stays proportional to the factor
-//    fill plus the (small) row-eta file -- it does not grow with one dense
-//    eta vector per pivot.  Both the row-wise U and the transposed factors
-//    used by the push-style BTRAN are updated in place.
-//
-//  * Product form: each pivot appends an eta matrix holding the full FTRAN
-//    direction, and solves replay the whole file.  Retained for
-//    differential testing and benchmarking against Forrest-Tomlin.
-//
-// Two solve strategies are available (SolveMode):
-//
-//  * Reach set (default): before each triangular solve, a Gilbert-Peierls
-//    flood fill over the static factor dependency structure computes the
-//    exact structural closure of the right-hand side's nonzeros; only the
-//    reached elimination steps are visited, so a hypersparse solve (unit
-//    rho rows, entering columns, rhs deltas) costs O(reach log reach)
-//    instead of O(m).  The reached steps are processed in the *same*
-//    elimination order the full sweep uses (sorted, not DFS postorder), so
-//    both modes perform bit-identical floating-point arithmetic.
-//
-//  * Full sweep: walk all m elimination steps, skipping zero positions --
-//    the pre-hypersparse behavior, retained for differential testing and
-//    A/B benchmarking.
+// Triangular solves are hypersparse where it pays: before a solve, a
+// Gilbert-Peierls flood fill over the static factor dependency structure
+// computes the exact structural closure of the right-hand side's nonzeros,
+// and only the reached elimination steps are visited, so a hypersparse
+// solve (unit rho rows, entering columns, rhs deltas) costs
+// O(reach log reach) instead of O(m).  A closure that outgrows its budget
+// falls back to the full sweep over all m steps (as does SolveHint::kDense).
+// The reached steps are processed in the *same* elimination order the full
+// sweep uses (sorted, not DFS postorder), so both paths perform
+// bit-identical floating-point arithmetic.
 //
 // The owning solver refactorizes periodically
 // (SimplexOptions::refactor_period) or when update() reports a numerically
@@ -83,46 +73,23 @@ struct SparseColumnView {
   std::size_t nnz = 0;
 };
 
-/// LU-factored simplex basis with in-place (Forrest-Tomlin) or product-form
-/// eta updates between refactorizations.
+/// LU-factored simplex basis with in-place (Forrest-Tomlin) updates between
+/// refactorizations.
 ///
 /// Position space: basis position k holds the k-th basic variable, i.e.
 /// column k of B; row space: the constraint rows.  ftran maps a row-space
 /// right-hand side to a position-space result, btran the reverse.
 class BasisLu {
  public:
-  /// Basis-change strategy applied by update() between refactorizations.
-  enum class UpdateMode {
-    kForrestTomlin,  ///< rotate U in place + short row etas (production)
-    kProductForm,    ///< append one full eta per pivot (reference)
-  };
-
-  /// Triangular-solve strategy of ftran()/btran().
-  enum class SolveMode {
-    kReachSet,   ///< Gilbert-Peierls reach traversal (production)
-    kFullSweep,  ///< visit all m elimination steps (reference)
-  };
-
-  /// Caller-side density class of one solve (reach-set mode only).  kAuto
-  /// (bulk solves: basic values, cost BTRANs, entering columns) and
-  /// kSparse (unit rho rows, rhs deltas, tau solves) adapt independently:
-  /// each class attempts the budgeted reach traversal until a streak of
-  /// abandoned floods shows its closures are dense here, then skips the
-  /// flood and re-probes periodically.  A right-hand side whose support
-  /// already exceeds the budget skips for free without biasing the
-  /// streak.  kDense always takes the full sweep.
+  /// Caller-side density class of one solve.  kAuto (bulk solves: basic
+  /// values, cost BTRANs, entering columns) and kSparse (unit rho rows,
+  /// rhs deltas, tau solves) adapt independently: each class attempts the
+  /// budgeted reach traversal until a streak of abandoned floods shows its
+  /// closures are dense here, then skips the flood and re-probes
+  /// periodically.  A right-hand side whose support already exceeds the
+  /// budget skips for free without biasing the streak.  kDense always
+  /// takes the full sweep.
   enum class SolveHint { kAuto, kSparse, kDense };
-
-  /// Select the update strategy.  Must be called while no updates are
-  /// pending (i.e. right after construction or a factorize()).
-  void set_update_mode(UpdateMode mode);
-  UpdateMode update_mode() const { return mode_; }
-
-  /// Select the solve strategy; both modes compute bit-identical results
-  /// (the reach set is processed in full-sweep elimination order), so this
-  /// may be switched at any time.
-  void set_solve_mode(SolveMode mode);
-  SolveMode solve_mode() const { return solve_mode_; }
 
   /// Collect per-call wall-clock in the stats (counters are always on).
   void set_collect_timing(bool collect) { collect_timing_ = collect; }
@@ -147,27 +114,20 @@ class BasisLu {
 
   /// Update the factorization for a pivot that replaces the basic variable
   /// at position `leave_pos`, where `w` = ftran(entering column).  Returns
-  /// false when the update pivot is too small (or, under Forrest-Tomlin,
-  /// the elimination is unstable); the factorization is then invalid and
-  /// the caller must refactorize with the new basis.
+  /// false when the update pivot is too small or the elimination is
+  /// unstable; the factorization is then invalid and the caller must
+  /// refactorize with the new basis.
   bool update(std::size_t leave_pos, const ScatteredVector& w);
 
   /// Number of update() pivots applied since the last factorization.
   std::size_t update_count() const { return updates_; }
   std::size_t dimension() const { return m_; }
 
-  /// Total nonzeros in L + U of the current factors plus the update files
-  /// (diagnostic; under product form this grows by one eta per pivot, under
-  /// Forrest-Tomlin only by the eliminated row stubs).
+  /// Total nonzeros in L + U of the current factors plus the row-eta file
+  /// (diagnostic; updates grow it only by the eliminated row stubs).
   std::size_t factor_nonzeros() const;
 
  private:
-  struct Eta {
-    std::uint32_t pivot_pos;
-    double pivot_value;                  ///< w[pivot_pos]
-    std::vector<std::uint32_t> idx;      ///< other positions with w != 0
-    std::vector<double> val;             ///< w at those positions
-  };
   /// Forrest-Tomlin row eta: the row operations that eliminated the leaving
   /// row, i.e. z[step] -= sum_i mult[i] * z[src[i]] applied between the L
   /// and U solves (transposed in BTRAN).
@@ -177,8 +137,6 @@ class BasisLu {
     std::vector<double> mult;
   };
 
-  UpdateMode mode_ = UpdateMode::kForrestTomlin;
-  SolveMode solve_mode_ = SolveMode::kReachSet;
   bool collect_timing_ = false;
   LpEngineStats stats_;
   std::size_t m_ = 0;
@@ -211,8 +169,7 @@ class BasisLu {
   std::vector<std::uint32_t> order_;
   std::vector<std::uint32_t> order_pos_;  ///< inverse of order_
 
-  std::vector<Eta> etas_;       ///< product-form file (kProductForm)
-  std::vector<RowEta> ft_etas_; ///< row-eta file (kForrestTomlin)
+  std::vector<RowEta> ft_etas_;  ///< row-eta file
 
   bool forrest_tomlin_update(std::uint32_t leave_pos, const ScatteredVector& w);
 
@@ -220,9 +177,9 @@ class BasisLu {
   /// it as an exact support set (e.g. for delta updates of xb).
   void compact_nonzeros(ScatteredVector& x);
 
-  // Solve workspaces (sized m_), reused across calls.  Under the reach-set
-  // mode `work_` is all-zero between solves (each solve clears exactly the
-  // steps it reached); the full sweep overwrites every entry anyway.
+  // Solve workspaces (sized m_), reused across calls.  `work_` is all-zero
+  // between solves (a reach solve clears exactly the steps it reached, the
+  // full sweep re-zeros every entry in its scatter pass).
   std::vector<double> work_;
   std::vector<char> flag_;
   // Reach-set traversal state: flags + the reached step list (segments per
@@ -254,10 +211,10 @@ class BasisLu {
 
   void ftran_dispatch(ScatteredVector& x, SolveHint hint);
   void btran_dispatch(ScatteredVector& x, SolveHint hint);
-  // Triangular solves without the product-form eta pass (the dispatchers
-  // own it); the reach variants run the budgeted structural closure first
-  // and return false -- with no numeric state touched -- when it exceeds
-  // the budget, upon which the dispatcher falls back to the full sweep.
+  // Triangular solves; the reach variants run the budgeted structural
+  // closure first and return false -- with no numeric state touched --
+  // when it exceeds the budget, upon which the dispatcher falls back to
+  // the full sweep.
   void ftran_full(ScatteredVector& x);
   void btran_full(ScatteredVector& x);
   bool ftran_reach(ScatteredVector& x);

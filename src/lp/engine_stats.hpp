@@ -19,10 +19,9 @@ struct LpEngineStats {
   // ---- BasisLu solve kernels ----
   std::uint64_t ftran_calls = 0;
   std::uint64_t btran_calls = 0;
-  /// Elimination steps processed across all FTRAN/BTRAN calls.  Under the
-  /// reach-set mode this is the Gilbert-Peierls reach (the structural
-  /// nonzero closure of the right-hand side); under the full sweep it is the
-  /// factor dimension per call.
+  /// Elimination steps processed across all FTRAN/BTRAN calls.  A reach
+  /// solve counts its Gilbert-Peierls reach (the structural nonzero closure
+  /// of the right-hand side), a full sweep the factor dimension.
   std::uint64_t ftran_reach_steps = 0;
   std::uint64_t btran_reach_steps = 0;
   /// Factor dimension summed over calls (the full-sweep step count), i.e.
@@ -48,8 +47,9 @@ struct LpEngineStats {
   std::uint64_t rows_appended = 0;
   std::uint64_t columns_appended = 0;
   std::uint64_t rhs_updates = 0;
-  /// Pricing configuration the solves ran under ("dantzig", "devex", ...;
-  /// set by the owning engine, last writer wins on accumulate).
+  /// Pricing configuration the solves ran under ("<pricing>/<dual row
+  /// rule>", e.g. "dantzig/dual-devex"; set by the owning engine, last
+  /// writer wins on accumulate).
   std::string pricing_mode;
 
   /// Mean fraction of the factor dimension actually visited per FTRAN

@@ -1,5 +1,6 @@
 #include "lp/rational.hpp"
 
+#include <cmath>
 #include <numeric>
 #include <ostream>
 
@@ -12,8 +13,7 @@ namespace {
 using Wide = __int128;
 
 std::int64_t narrow(Wide value) {
-  BT_REQUIRE(value <= INT64_MAX && value >= INT64_MIN,
-             "Rational: 64-bit overflow");
+  BT_REQUIRE(value <= INT64_MAX && value >= -INT64_MAX, "Rational: 64-bit overflow");
   return static_cast<std::int64_t>(value);
 }
 
@@ -30,8 +30,11 @@ Wide wide_gcd(Wide a, Wide b) {
 
 }  // namespace
 
+void Rational::overflow() { throw Error("Rational: 64-bit overflow"); }
+
 Rational::Rational(std::int64_t num, std::int64_t den) {
   BT_REQUIRE(den != 0, "Rational: zero denominator");
+  if (num == INT64_MIN || den == INT64_MIN) overflow();
   if (den < 0) {
     num = -num;
     den = -den;
@@ -39,6 +42,26 @@ Rational::Rational(std::int64_t num, std::int64_t den) {
   const std::int64_t g = std::gcd(num, den);
   num_ = g == 0 ? 0 : num / g;
   den_ = g == 0 ? 1 : den / g;
+}
+
+Rational Rational::from_double(double value) {
+  BT_REQUIRE(std::isfinite(value), "Rational::from_double: value is not finite");
+  if (value == 0.0) return Rational(0);
+  // value = mantissa * 2^exponent with a 53-bit integer mantissa; strip its
+  // trailing zero bits so the denominator is the smallest power of two.
+  int exponent = 0;
+  auto mantissa = static_cast<std::int64_t>(std::ldexp(std::frexp(value, &exponent), 53));
+  exponent -= 53;
+  while (exponent < 0 && mantissa % 2 == 0) {
+    mantissa /= 2;
+    ++exponent;
+  }
+  if (exponent < 0) {
+    BT_REQUIRE(exponent > -63, "Rational::from_double: denominator overflow");
+    return Rational(mantissa, std::int64_t{1} << -exponent);
+  }
+  BT_REQUIRE(exponent < 63, "Rational: 64-bit overflow");
+  return Rational(narrow(Wide(mantissa) * (Wide(1) << exponent)));
 }
 
 Rational Rational::operator-() const {

@@ -5,8 +5,8 @@
 // The paper solves its linear program "over the rationals, using standard
 // tools such as Maple or MuPAD".  Our production simplex uses doubles; this
 // module provides overflow-checked 64-bit rationals and backs an exact
-// tableau simplex (exact_simplex.hpp) used by the test-suite to certify the
-// floating-point solver on randomly generated programs.
+// tableau simplex (exact_simplex.hpp), the oracle the test-suite certifies
+// the floating-point solver against.
 
 #include <cstdint>
 #include <iosfwd>
@@ -16,11 +16,20 @@ namespace bt {
 /// Rational number num/den with den > 0, always kept in lowest terms.
 /// Arithmetic throws bt::Error on signed-64-bit overflow (intermediates are
 /// computed in 128 bits, so overflow means the *result* does not fit).
+/// INT64_MIN is outside the representable range -- numerator and
+/// denominator both stay within +-INT64_MAX -- so negation never overflows.
 class Rational {
  public:
   Rational() = default;
-  Rational(std::int64_t value) : num_(value) {}  // NOLINT: implicit by design
+  Rational(std::int64_t value) : num_(value) {  // NOLINT: implicit by design
+    if (value == INT64_MIN) overflow();
+  }
   Rational(std::int64_t num, std::int64_t den);
+
+  /// The exact value of a finite double (every double is a dyadic rational
+  /// m * 2^e).  Throws bt::Error when the value is not finite or its
+  /// reduced numerator or denominator does not fit.
+  static Rational from_double(double value);
 
   std::int64_t num() const { return num_; }
   std::int64_t den() const { return den_; }
@@ -48,6 +57,8 @@ class Rational {
   double to_double() const;
 
  private:
+  [[noreturn]] static void overflow();
+
   std::int64_t num_ = 0;
   std::int64_t den_ = 1;
 };

@@ -31,7 +31,6 @@ std::string to_string(PricingRule rule) {
 
 std::string to_string(DualRowRule rule) {
   switch (rule) {
-    case DualRowRule::kMostInfeasible: return "most-infeasible";
     case DualRowRule::kDevex: return "dual-devex";
     case DualRowRule::kSteepestEdge: return "steepest-edge";
   }
@@ -98,9 +97,10 @@ struct ColumnStore {
 enum class ColKind : unsigned char { kStructural, kSlack, kSurplus, kArtificial };
 
 // ---------------------------------------------------------------------------
-// Sparse engine: LU-factored basis (basis_lu.hpp) with product-form eta
-// updates between periodic refactorizations, candidate-list pricing, and an
-// append-column path for incremental (column-generation) use.
+// Sparse engine: LU-factored basis (basis_lu.hpp) with Forrest-Tomlin
+// updates between periodic refactorizations, candidate-list pricing, and
+// append-column / append-row paths for incremental (column- and
+// row-generation) use.
 //
 // Internal standard form: minimize c.z subject to A z = b, z >= 0.  Rows
 // whose right-hand side starts non-negative with a +1 slack begin basic;
@@ -110,12 +110,8 @@ class SparseSimplexCore {
  public:
   SparseSimplexCore(const LpProblem& problem, const SimplexOptions& options)
       : options_(options) {
-    lu_.set_update_mode(options.update_mode);
-    lu_.set_solve_mode(options.solve_mode);
     lu_.set_collect_timing(options.collect_kernel_timing);
-    stats_.pricing_mode =
-        to_string(options.pricing) + "/" + to_string(options.dual_row_rule) + "/" +
-        (options.solve_mode == BasisLu::SolveMode::kReachSet ? "reach" : "sweep");
+    stats_.pricing_mode = to_string(options.pricing) + "/" + to_string(options.dual_row_rule);
     build(problem);
   }
 
@@ -1007,8 +1003,7 @@ class SparseSimplexCore {
 
     // Weighted row selection frameworks start fresh each dual phase (the
     // phases are short re-optimizations after appended rows / rhs changes).
-    const bool use_weights = options_.dual_row_rule != DualRowRule::kMostInfeasible;
-    if (use_weights) reset_dual_weights();
+    reset_dual_weights();
 
     bool bland = false;
     std::size_t stalled = 0;
@@ -1016,13 +1011,11 @@ class SparseSimplexCore {
     double last_infeasibility = kInf;
 
     for (std::size_t iter = 0; iter < max_iter; ++iter) {
-      if (use_weights && dual_weight_reset_pending_) reset_dual_weights();
+      if (dual_weight_reset_pending_) reset_dual_weights();
       // Leaving row: largest weighted infeasibility xb^2 / gamma under
-      // steepest-edge / Devex, the most negative basic value otherwise
-      // (Bland: the smallest *basic-variable index* among the infeasible
-      // rows).
+      // steepest-edge / Devex (Bland: the smallest *basic-variable index*
+      // among the infeasible rows).
       std::size_t leave_row = kNpos;
-      double most_negative = -tol;
       double best_score = 0.0;
       double infeasibility = 0.0;
       for (std::size_t r = 0; r < num_rows_; ++r) {
@@ -1030,15 +1023,12 @@ class SparseSimplexCore {
           infeasibility -= xb_[r];
           if (bland) {
             if (leave_row == kNpos || basis_[r] < basis_[leave_row]) leave_row = r;
-          } else if (use_weights) {
+          } else {
             const double score = xb_[r] * xb_[r] / dual_w_[r];
             if (score > best_score) {
               best_score = score;
               leave_row = r;
             }
-          } else if (xb_[r] < most_negative) {
-            most_negative = xb_[r];
-            leave_row = r;
           }
         }
       }
@@ -1144,7 +1134,7 @@ class SparseSimplexCore {
         continue;
       }
       bad_pivots = 0;
-      if (use_weights && !bland) update_dual_weights(leave_row, wr);
+      if (!bland) update_dual_weights(leave_row, wr);
       if (options_.pricing == PricingRule::kDevex && !bland) {
         // Keep the standing primal Devex framework current through the
         // dual phase -- the pivot row is already in alpha_cols_/vals_.
@@ -1186,7 +1176,7 @@ class SparseSimplexCore {
         if (bland) {
           bland = false;
           // Row weights went stale while Bland pivoted without updates.
-          if (use_weights) dual_weight_reset_pending_ = true;
+          dual_weight_reset_pending_ = true;
         }
       } else if (++stalled > 2 * num_rows_ + 50) {
         bland = true;
@@ -1449,487 +1439,6 @@ class SparseSimplexCore {
   bool allow_artificial_entering_ = true;
 };
 
-// ---------------------------------------------------------------------------
-// Dense reference engine (the pre-LU implementation): explicit dense basis
-// inverse with O(m^2) pivots and O(m^3) Gauss-Jordan refactorization.  Kept
-// for differential testing and as the benchmark baseline; select it with
-// SimplexOptions::engine = LpEngine::kDenseReference.
-// ---------------------------------------------------------------------------
-class DenseSimplexCore {
- public:
-  DenseSimplexCore(const LpProblem& problem, const SimplexOptions& options)
-      : options_(options), problem_(problem) {
-    build(problem);
-  }
-
-  LpSolution run() {
-    LpSolution solution;
-    // ---- Phase 1: minimize the sum of artificials (when any exist). ----
-    if (num_artificials_ > 0) {
-      active_cost_ = &phase1_cost_;
-      allow_artificial_entering_ = true;
-      const LpStatus st = iterate(&solution.iterations);
-      if (st != LpStatus::kOptimal) {
-        // Phase 1 is bounded below by 0, so anything else is a limit.
-        solution.status = LpStatus::kIterationLimit;
-        return solution;
-      }
-      if (phase_objective() > 1e-7) {
-        solution.status = LpStatus::kInfeasible;
-        return solution;
-      }
-      purge_artificials();
-    }
-    // ---- Phase 2: minimize the real cost. ----
-    active_cost_ = &cost_;
-    allow_artificial_entering_ = false;
-    const LpStatus st = iterate(&solution.iterations);
-    solution.status = st;
-    if (st != LpStatus::kOptimal) return solution;
-
-    // Extract structural primal values.
-    solution.x.assign(num_structural_, 0.0);
-    for (std::size_t r = 0; r < num_rows_; ++r) {
-      if (basis_[r] < num_structural_) solution.x[basis_[r]] = std::max(0.0, xb_[r]);
-    }
-    solution.objective = problem_.objective_value(solution.x);
-
-    // Duals: y = c_B^T B^{-1}, mapped back through row flips / objective
-    // sense (rows dropped as redundant keep dual 0).
-    std::vector<double> y(num_rows_, 0.0);
-    for (std::size_t r = 0; r < num_rows_; ++r) {
-      const double cb = cost_[basis_[r]];
-      if (cb == 0.0) continue;
-      const double* binv_row = &binv_[r * num_rows_];
-      for (std::size_t i = 0; i < num_rows_; ++i) y[i] += cb * binv_row[i];
-    }
-    solution.duals.assign(problem_.num_constraints(), 0.0);
-    for (std::size_t i = 0; i < num_rows_; ++i) {
-      const std::size_t orig = row_origin_[i];
-      double v = row_flip_[i] * y[i];
-      if (problem_.objective() == Objective::kMaximize) v = -v;
-      solution.duals[orig] = v;
-    }
-
-    // Basis labels for warm starts (only when every basic variable has a
-    // stable label and no rows were dropped).
-    if (num_rows_ == problem_.num_constraints()) {
-      solution.basis.resize(num_rows_);
-      bool labelable = true;
-      for (std::size_t r = 0; r < num_rows_ && labelable; ++r) {
-        const std::size_t j = basis_[r];
-        if (j < num_structural_) {
-          solution.basis[r] = j;
-        } else if (j < first_artificial_) {
-          // Slack or surplus: label by its row; surplus columns are not
-          // representable (they never arise in warm-started problems here).
-          const std::size_t row = cols_[j].rows.front();
-          if (slack_col_of_row_[row] == j) {
-            solution.basis[r] = kSlackLabelBase - row;
-          } else {
-            labelable = false;
-          }
-        } else {
-          labelable = false;  // artificial stuck in the basis
-        }
-      }
-      if (!labelable) solution.basis.clear();
-    }
-    return solution;
-  }
-
- private:
-  // ---------- model construction ----------
-  void build(const LpProblem& problem) {
-    const std::size_t m = problem.num_constraints();
-    num_structural_ = problem.num_variables();
-    num_rows_ = m;
-    row_flip_.assign(m, 1.0);
-    row_origin_.resize(m);
-    b_.resize(m);
-
-    cols_.assign(num_structural_, SparseCol{});
-    cost_.assign(num_structural_, 0.0);
-    const double sense = problem.objective() == Objective::kMaximize ? -1.0 : 1.0;
-    for (std::size_t j = 0; j < num_structural_; ++j) {
-      cost_[j] = sense * problem.objective_coeff(j);
-    }
-    std::vector<RowSense> senses(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      row_origin_[i] = i;
-      const auto& row = problem.row(i);
-      double flip = 1.0;
-      RowSense s = row.sense;
-      if (row.rhs < 0.0) {
-        flip = -1.0;
-        if (s == RowSense::kLessEqual) s = RowSense::kGreaterEqual;
-        else if (s == RowSense::kGreaterEqual) s = RowSense::kLessEqual;
-      }
-      row_flip_[i] = flip;
-      b_[i] = flip * row.rhs;
-      senses[i] = s;
-      for (const LpTerm& t : row.terms) {
-        cols_[t.var].push(static_cast<std::uint32_t>(i), flip * t.coeff);
-      }
-    }
-
-    // Slack / surplus columns, then artificials.
-    basis_.assign(m, kNpos);
-    slack_col_of_row_.assign(m, kNpos);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (senses[i] == RowSense::kLessEqual) {
-        const std::size_t j = add_unit_column(i, +1.0);
-        slack_col_of_row_[i] = j;
-        basis_[i] = j;  // slack starts basic (b >= 0)
-      } else if (senses[i] == RowSense::kGreaterEqual) {
-        add_unit_column(i, -1.0);  // surplus, cannot start basic
-      }
-    }
-    first_artificial_ = cols_.size();
-    for (std::size_t i = 0; i < m; ++i) {
-      if (basis_[i] == kNpos) {
-        basis_[i] = add_unit_column(i, +1.0);
-        ++num_artificials_;
-      }
-    }
-    phase1_cost_.assign(cols_.size(), 0.0);
-    for (std::size_t j = first_artificial_; j < cols_.size(); ++j) phase1_cost_[j] = 1.0;
-
-    if (num_artificials_ == 0) try_warm_start();
-    refactor();
-  }
-
-  /// Replace the default slack basis with the caller-provided labels when
-  /// they decode to a primal-feasible basis of this problem.
-  void try_warm_start() {
-    const std::vector<std::size_t>* warm = options_.warm_basis;
-    if (warm == nullptr || warm->size() != num_rows_) return;
-    std::vector<std::size_t> candidate(num_rows_);
-    std::vector<char> used(cols_.size(), 0);
-    for (std::size_t r = 0; r < num_rows_; ++r) {
-      std::size_t col;
-      const std::size_t label = (*warm)[r];
-      if (label < num_structural_) {
-        col = label;
-      } else if (kSlackLabelBase - label < num_rows_) {
-        col = slack_col_of_row_[kSlackLabelBase - label];
-        if (col == kNpos) return;  // row has no slack
-      } else {
-        return;  // undecodable label
-      }
-      if (used[col]) return;  // duplicate basic variable
-      used[col] = 1;
-      candidate[r] = col;
-    }
-    const std::vector<std::size_t> saved = basis_;
-    basis_ = candidate;
-    try {
-      refactor();
-    } catch (const Error&) {
-      basis_ = saved;  // singular warm basis: fall back to the slack basis
-      return;
-    }
-    for (double v : xb_) {
-      if (v < -1e-7) {  // warm basis not primal feasible here
-        basis_ = saved;
-        return;
-      }
-    }
-  }
-
-  std::size_t add_unit_column(std::size_t row, double value) {
-    cols_.emplace_back();
-    cols_.back().push(static_cast<std::uint32_t>(row), value);
-    cost_.push_back(0.0);
-    return cols_.size() - 1;
-  }
-
-  // ---------- linear algebra ----------
-  /// Rebuild binv_ by Gauss-Jordan inversion of the basis matrix, then
-  /// recompute xb_.  O(m^3); called rarely.
-  void refactor() {
-    const std::size_t m = num_rows_;
-    std::vector<double> mat(m * m, 0.0);  // basis matrix, row-major
-    for (std::size_t r = 0; r < m; ++r) {
-      const SparseCol& col = cols_[basis_[r]];
-      for (std::size_t k = 0; k < col.nnz(); ++k) mat[col.rows[k] * m + r] = col.vals[k];
-    }
-    binv_.assign(m * m, 0.0);
-    for (std::size_t i = 0; i < m; ++i) binv_[i * m + i] = 1.0;
-    for (std::size_t col = 0; col < m; ++col) {
-      std::size_t piv = col;
-      double best = std::abs(mat[col * m + col]);
-      for (std::size_t r = col + 1; r < m; ++r) {
-        const double v = std::abs(mat[r * m + col]);
-        if (v > best) {
-          best = v;
-          piv = r;
-        }
-      }
-      BT_ASSERT(best > 1e-12, "simplex: singular basis during refactor");
-      if (piv != col) {
-        for (std::size_t k = 0; k < m; ++k) {
-          std::swap(mat[piv * m + k], mat[col * m + k]);
-          std::swap(binv_[piv * m + k], binv_[col * m + k]);
-        }
-      }
-      const double inv = 1.0 / mat[col * m + col];
-      for (std::size_t k = 0; k < m; ++k) {
-        mat[col * m + k] *= inv;
-        binv_[col * m + k] *= inv;
-      }
-      for (std::size_t r = 0; r < m; ++r) {
-        if (r == col) continue;
-        const double f = mat[r * m + col];
-        if (f == 0.0) continue;
-        for (std::size_t k = 0; k < m; ++k) {
-          mat[r * m + k] -= f * mat[col * m + k];
-          binv_[r * m + k] -= f * binv_[col * m + k];
-        }
-      }
-    }
-    recompute_xb();
-  }
-
-  void recompute_xb() {
-    const std::size_t m = num_rows_;
-    xb_.assign(m, 0.0);
-    for (std::size_t r = 0; r < m; ++r) {
-      double v = 0.0;
-      const double* binv_row = &binv_[r * m];
-      for (std::size_t i = 0; i < m; ++i) v += binv_row[i] * b_[i];
-      xb_[r] = v;
-    }
-  }
-
-  /// w = B^{-1} * column j.  O(m * nnz(col)).
-  void ftran(std::size_t j, std::vector<double>& w) const {
-    const std::size_t m = num_rows_;
-    const SparseCol& col = cols_[j];
-    w.assign(m, 0.0);
-    for (std::size_t k = 0; k < col.nnz(); ++k) {
-      const std::size_t i = col.rows[k];
-      const double v = col.vals[k];
-      for (std::size_t r = 0; r < m; ++r) w[r] += binv_[r * m + i] * v;
-    }
-  }
-
-  /// y = (active cost of basis)^T * B^{-1}.  Only rows with non-zero basic
-  /// cost contribute, which keeps this cheap in both phases.
-  void btran(std::vector<double>& y) const {
-    const std::size_t m = num_rows_;
-    y.assign(m, 0.0);
-    for (std::size_t r = 0; r < m; ++r) {
-      const double cb = (*active_cost_)[basis_[r]];
-      if (cb == 0.0) continue;
-      const double* binv_row = &binv_[r * m];
-      for (std::size_t i = 0; i < m; ++i) y[i] += cb * binv_row[i];
-    }
-  }
-
-  double phase_objective() const {
-    double v = 0.0;
-    for (std::size_t r = 0; r < num_rows_; ++r) v += (*active_cost_)[basis_[r]] * xb_[r];
-    return v;
-  }
-
-  // ---------- simplex iterations ----------
-  LpStatus iterate(std::size_t* iteration_counter) {
-    const std::size_t m = num_rows_;
-    const std::size_t n = cols_.size();
-    const double tol = options_.tolerance;
-    const std::size_t max_iter = options_.max_iterations > 0
-                                     ? options_.max_iterations
-                                     : std::max<std::size_t>(2000, 60 * (m + n));
-    std::vector<char> in_basis(n, 0);
-    for (std::size_t r = 0; r < m; ++r) in_basis[basis_[r]] = 1;
-
-    std::vector<double> y, w;
-    bool bland = false;
-    double last_objective = phase_objective();
-    std::size_t stalled = 0;
-    std::size_t since_refactor = 0;
-
-    for (std::size_t iter = 0; iter < max_iter; ++iter) {
-      if (iteration_counter != nullptr) ++(*iteration_counter);
-      btran(y);
-
-      // Pricing: pick the entering column (sparse dot products).
-      std::size_t entering = kNpos;
-      double best_reduced = -tol;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (in_basis[j]) continue;
-        if (!allow_artificial_entering_ && j >= first_artificial_) continue;
-        const SparseCol& col = cols_[j];
-        double d = (*active_cost_)[j];
-        for (std::size_t k = 0; k < col.nnz(); ++k) d -= y[col.rows[k]] * col.vals[k];
-        if (bland) {
-          if (d < -tol) {
-            entering = j;
-            break;
-          }
-        } else if (d < best_reduced) {
-          best_reduced = d;
-          entering = j;
-        }
-      }
-      if (entering == kNpos) return LpStatus::kOptimal;
-
-      // Ratio test (Bland mode: ties broken solely by the smallest
-      // basic-variable index, see the sparse core).
-      ftran(entering, w);
-      std::size_t leave_row = kNpos;
-      double best_ratio = kInf;
-      double best_pivot = 0.0;
-      for (std::size_t r = 0; r < m; ++r) {
-        if (w[r] > tol) {
-          const double ratio = std::max(0.0, xb_[r]) / w[r];
-          const bool better =
-              ratio < best_ratio - tol ||
-              (ratio < best_ratio + tol &&
-               (bland ? (leave_row == kNpos || basis_[r] < basis_[leave_row])
-                      : w[r] > best_pivot));
-          if (better) {
-            best_ratio = ratio;
-            best_pivot = w[r];
-            leave_row = r;
-          }
-        }
-      }
-      if (leave_row == kNpos) return LpStatus::kUnbounded;
-
-      pivot(leave_row, w);
-      in_basis[basis_[leave_row]] = 0;
-      in_basis[entering] = 1;
-      basis_[leave_row] = entering;
-
-      if (++since_refactor >= options_.refactor_period) {
-        refactor();
-        since_refactor = 0;
-      }
-
-      // Cycling guard: persistent stalling switches to Bland's rule.
-      const double objective_now = phase_objective();
-      if (objective_now < last_objective - tol) {
-        stalled = 0;
-        bland = false;
-      } else if (++stalled > 2 * m + 50) {
-        bland = true;
-      }
-      last_objective = objective_now;
-    }
-    return LpStatus::kIterationLimit;
-  }
-
-  /// Rank-1 update of the basis inverse and basic solution for a pivot on
-  /// `leave_row` with direction `w` (= B^{-1} A_entering).
-  void pivot(std::size_t leave_row, const std::vector<double>& w) {
-    const std::size_t m = num_rows_;
-    const double step = xb_[leave_row] / w[leave_row];
-    for (std::size_t r = 0; r < m; ++r) {
-      if (r != leave_row) xb_[r] -= step * w[r];
-    }
-    xb_[leave_row] = step;
-    const double piv = w[leave_row];
-    double* pivot_row = &binv_[leave_row * m];
-    for (std::size_t k = 0; k < m; ++k) pivot_row[k] /= piv;
-    for (std::size_t r = 0; r < m; ++r) {
-      if (r == leave_row) continue;
-      const double f = w[r];
-      if (f == 0.0) continue;
-      double* row = &binv_[r * m];
-      for (std::size_t k = 0; k < m; ++k) row[k] -= f * pivot_row[k];
-    }
-  }
-
-  /// After phase 1: pivot zero-valued artificials out of the basis; rows
-  /// whose artificial cannot be replaced are redundant and dropped.
-  void purge_artificials() {
-    std::vector<double> w;
-    std::vector<std::size_t> redundant_rows;
-    std::vector<char> is_basic(cols_.size(), 0);
-    for (std::size_t r = 0; r < num_rows_; ++r) is_basic[basis_[r]] = 1;
-    for (std::size_t r = 0; r < num_rows_; ++r) {
-      if (basis_[r] < first_artificial_) continue;
-      bool replaced = false;
-      for (std::size_t j = 0; j < first_artificial_ && !replaced; ++j) {
-        if (is_basic[j]) continue;
-        ftran(j, w);
-        if (std::abs(w[r]) > 1e-7) {
-          // Degenerate pivot (xb_[r] ~ 0): basis changes, solution does not.
-          is_basic[basis_[r]] = 0;
-          pivot(r, w);
-          basis_[r] = j;
-          is_basic[j] = 1;
-          recompute_xb();
-          replaced = true;
-        }
-      }
-      if (!replaced) redundant_rows.push_back(r);
-    }
-    if (!redundant_rows.empty()) drop_rows(redundant_rows);
-  }
-
-  void drop_rows(const std::vector<std::size_t>& rows) {
-    std::vector<char> dead(num_rows_, 0);
-    for (std::size_t r : rows) dead[r] = 1;
-    std::vector<std::uint32_t> remap(num_rows_, 0);
-    std::vector<std::size_t> keep;
-    for (std::size_t r = 0; r < num_rows_; ++r) {
-      if (!dead[r]) {
-        remap[r] = static_cast<std::uint32_t>(keep.size());
-        keep.push_back(r);
-      }
-    }
-    const std::size_t new_m = keep.size();
-    for (SparseCol& col : cols_) {
-      SparseCol nc;
-      for (std::size_t k = 0; k < col.nnz(); ++k) {
-        if (!dead[col.rows[k]]) nc.push(remap[col.rows[k]], col.vals[k]);
-      }
-      col = std::move(nc);
-    }
-    std::vector<double> nb(new_m), nflip(new_m);
-    std::vector<std::size_t> norigin(new_m), nbasis(new_m);
-    for (std::size_t k = 0; k < new_m; ++k) {
-      nb[k] = b_[keep[k]];
-      nflip[k] = row_flip_[keep[k]];
-      norigin[k] = row_origin_[keep[k]];
-      nbasis[k] = basis_[keep[k]];
-    }
-    b_ = std::move(nb);
-    row_flip_ = std::move(nflip);
-    row_origin_ = std::move(norigin);
-    basis_ = std::move(nbasis);
-    num_rows_ = new_m;
-    refactor();
-  }
-
-  // ---------- state ----------
-  SimplexOptions options_;
-  const LpProblem& problem_;
-
-  std::size_t num_structural_ = 0;
-  std::size_t num_rows_ = 0;
-  std::size_t first_artificial_ = 0;
-  std::size_t num_artificials_ = 0;
-
-  std::vector<SparseCol> cols_;  // constraint matrix, sparse columns
-  std::vector<double> cost_;     // phase-2 cost (min sense)
-  std::vector<double> phase1_cost_;
-  std::vector<double> b_;
-  std::vector<double> row_flip_;
-  std::vector<std::size_t> row_origin_;
-  std::vector<std::size_t> slack_col_of_row_;
-
-  std::vector<std::size_t> basis_;  // basic variable per row
-  std::vector<double> binv_;        // dense basis inverse, row-major
-  std::vector<double> xb_;          // basic variable values
-
-  const std::vector<double>* active_cost_ = nullptr;
-  bool allow_artificial_entering_ = true;
-};
-
 }  // namespace detail
 
 LpSolution solve_lp(const LpProblem& problem, const SimplexOptions& options) {
@@ -1949,10 +1458,6 @@ LpSolution solve_lp(const LpProblem& problem, const SimplexOptions& options) {
     solution.status = LpStatus::kOptimal;
     solution.objective = 0.0;
     return solution;
-  }
-  if (options.engine == LpEngine::kDenseReference) {
-    detail::DenseSimplexCore core(problem, options);
-    return core.run();
   }
   detail::SparseSimplexCore core(problem, options);
   const LpSolution solution = core.solve();

@@ -3,18 +3,16 @@
 // Two-phase revised simplex over a sparse LU-factored basis.
 //
 // Solves LpProblem instances (non-negative variables, <=/>=/= rows).  The
-// production engine keeps the basis in sparse LU form (basis_lu.hpp) with
-// Forrest-Tomlin updates between periodic refactorizations (product-form
-// etas remain selectable for differential testing), solves its triangular
-// systems with hypersparse reach-set traversal (BasisLu::SolveMode), prices
-// with Devex reference weights over a cyclic candidate-list window (primal)
-// and dual steepest-edge row selection (dual) -- Dantzig / most-infeasible
-// remain selectable for A/B runs -- plus a Bland's-rule fallback against
-// cycling, and uses a two-phase start (artificial variables minimized
-// first).  The previous dense-inverse engine is retained as
-// LpEngine::kDenseReference for benchmarking and differential testing.
+// engine keeps the basis in sparse LU form (basis_lu.hpp) with
+// Forrest-Tomlin updates between periodic refactorizations, solves its
+// triangular systems with adaptive hypersparse reach-set traversal, prices
+// with a selectable primal rule (Devex reference weights or Dantzig) over a
+// cyclic candidate-list window and a selectable dual row rule (steepest
+// edge or Devex), plus a Bland's-rule fallback against cycling, and uses a
+// two-phase start (artificial variables minimized first).  The exact
+// rational simplex (exact_simplex.hpp) is its reference in the tests.
 //
-// Besides the primal method the sparse engine carries a dual simplex phase
+// Besides the primal method the engine carries a dual simplex phase
 // (two-pass Harris-style ratio test): starting from a dual-feasible basis
 // it drives negative basic values out of the solution, which is how a
 // re-optimization after appended rows proceeds.
@@ -44,24 +42,18 @@ enum class LpStatus { kOptimal, kInfeasible, kUnbounded, kIterationLimit };
 /// Human-readable status name.
 std::string to_string(LpStatus status);
 
-/// Which simplex core services a solve.
-enum class LpEngine {
-  kSparse,          ///< sparse LU basis + Forrest-Tomlin updates (production)
-  kDenseReference,  ///< dense basis inverse (reference / benchmarking)
-};
-
-/// Entering-column rule of the primal simplex (sparse engine).
+/// Entering-column rule of the primal simplex.  The cutting-plane masters
+/// price with Dantzig, the packing master with Devex (see PlannerSession).
 enum class PricingRule {
   kDantzig,  ///< most negative reduced cost within the candidate window
-  kDevex,    ///< best d_j^2 / w_j under Devex reference weights (production)
+  kDevex,    ///< best d_j^2 / w_j under Devex reference weights
 };
 
-/// Leaving-row rule of the dual simplex (sparse engine).
+/// Leaving-row rule of the dual simplex.  The cutting-plane masters use
+/// Devex, the packing master steepest edge (see PlannerSession).
 enum class DualRowRule {
-  kMostInfeasible,  ///< most negative basic value (pre-PR-5 behavior)
-  kDevex,           ///< best xb_r^2 / gamma_r, Devex max-form weight updates
-  kSteepestEdge,    ///< exact Forrest-Goldfarb weights via an extra FTRAN
-                    ///< per pivot (production)
+  kDevex,         ///< best xb_r^2 / gamma_r, Devex max-form weight updates
+  kSteepestEdge,  ///< exact Forrest-Goldfarb weights via an extra FTRAN per pivot
 };
 
 std::string to_string(PricingRule rule);
@@ -71,22 +63,14 @@ struct SimplexOptions {
   double tolerance = 1e-9;        ///< feasibility / optimality tolerance
   std::size_t max_iterations = 0; ///< 0 = automatic (scales with problem size)
   /// Refactorize the basis from scratch every this many pivots (between
-  /// refactorizations the sparse engine updates the factors in place).
+  /// refactorizations the Forrest-Tomlin update keeps the factors in place).
   std::size_t refactor_period = 64;
   /// Optional warm-start basis (labels from a previous LpSolution::basis on
   /// a problem with the same rows; extra columns may have been added since).
   /// Honored only when the labeled basis is primal feasible and the problem
   /// needs no artificials; silently ignored otherwise.
   const std::vector<std::size_t>* warm_basis = nullptr;
-  LpEngine engine = LpEngine::kSparse;
-  /// Basis-update strategy of the sparse engine between refactorizations.
-  /// Forrest-Tomlin keeps the factors short; the product-form eta file is
-  /// retained for differential testing (see BasisLu::UpdateMode).
-  BasisLu::UpdateMode update_mode = BasisLu::UpdateMode::kForrestTomlin;
-  /// Triangular-solve strategy: hypersparse reach-set traversal (default)
-  /// or the all-m full sweep (reference; see BasisLu::SolveMode).
-  BasisLu::SolveMode solve_mode = BasisLu::SolveMode::kReachSet;
-  /// Pricing rules of the sparse engine.  The Devex / steepest-edge weight
+  /// Pricing rules.  The Devex / steepest-edge weight
   /// maintenance rides the hypersparse kernels (one extra unit BTRAN per
   /// primal pivot, one extra FTRAN per dual steepest-edge pivot) and resets
   /// its reference framework on every refactorization as a drift safeguard.
@@ -95,8 +79,7 @@ struct SimplexOptions {
   /// Collect per-call FTRAN/BTRAN wall-clock into the engine stats (the
   /// structural reach counters are always collected).
   bool collect_kernel_timing = false;
-  /// When set, solve_lp() accumulates the solve's LpEngineStats here
-  /// (sparse engine only; the dense reference engine records nothing).
+  /// When set, solve_lp() accumulates the solve's LpEngineStats here.
   LpEngineStats* stats = nullptr;
 };
 

@@ -9,7 +9,8 @@
 // The paper does not say how sparse graphs are kept connected (a G(n, 0.04)
 // graph on 10 nodes is disconnected w.h.p.).  We lay a uniformly random
 // spanning tree first (as bidirectional links) and then fill with random
-// bidirectional links up to the requested density -- see DESIGN.md.
+// bidirectional links up to the requested density, so every platform can
+// broadcast however sparse it is.
 
 #include "platform/platform.hpp"
 #include "util/rng.hpp"

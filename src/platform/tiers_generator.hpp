@@ -4,8 +4,8 @@
 //
 // The paper's "realistic" platforms come from Tiers [Calvert, Doar, Zegura
 // 1997], a generator of three-level (WAN / MAN / LAN) internet-like
-// topologies.  The original binary is not available, so we implement a
-// generator with the same structure (see DESIGN.md, substitutions):
+// topologies.  The original binary is not available, so we substitute a
+// generator with the same three-level structure:
 //
 //  * a WAN core: random spanning tree over the WAN routers plus a number of
 //    redundancy links;

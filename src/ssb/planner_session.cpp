@@ -105,17 +105,16 @@ double PlannerSession::stabilization_weight(EdgeId e) const {
 
 /// Master tolerance: tighter than the solver default so the tie-broken
 /// stabilization weights resolve alternative optima (vertex gaps are
-/// ~T_e * kWeightTieBreak / m, orders of magnitude above this).  Engine
-/// knobs (pricing rules, solve mode, kernel timing) come from the options;
+/// ~T_e * kWeightTieBreak / m, orders of magnitude above this).  Pricing
+/// is the cutting-plane constant, kernel timing comes from the options;
 /// `stats` receives the LpEngineStats of cold solve_lp calls and must be
 /// null for the standing masters (they outlive any per-solve stats record;
 /// their lifetime stats are folded in via engine_stats() instead).
 SimplexOptions PlannerSession::cutting_master_options(LpEngineStats* stats) const {
   SimplexOptions lp;
   lp.tolerance = 1e-10;
-  lp.pricing = options_.cutting.master_pricing;
-  lp.dual_row_rule = options_.cutting.master_dual_row_rule;
-  lp.solve_mode = options_.cutting.master_solve_mode;
+  lp.pricing = kCuttingPricing;
+  lp.dual_row_rule = kCuttingDualRowRule;
   lp.collect_kernel_timing = options_.cutting.master_kernel_timing;
   lp.stats = stats;
   return lp;
@@ -814,7 +813,7 @@ void PlannerSession::set_link_cost(EdgeId e, LinkCost cost) {
     replace_arc_column(e);
   } else {
     // No consistent standing pair to delta (pre-first-solve, post-rollback,
-    // or legacy rebuild mode): drop them and let the next solve rebuild
+    // or incremental_master off): drop them and let the next solve rebuild
     // from the pool, which link-cost changes leave valid (cut rows are
     // time-free).
     value_master_.reset();
@@ -1051,22 +1050,9 @@ void PlannerSession::run_packing_solve() {
   std::vector<double> lambda;
 
   const PortModel model = options.port_model;
-  const std::size_t num_master_rows = model == PortModel::kBidirectional ? 2 * p : p;
-  // Master rows for the first `ncols` columns, transposed from the
-  // canonical per-column layout of master_terms (rows exist even when
-  // empty, so indexing is stable as columns arrive).
-  auto build_master_rows = [&](std::size_t ncols) {
-    std::vector<std::vector<LpTerm>> rows(num_master_rows);
-    for (std::size_t j = 0; j < ncols; ++j) {
-      for (const LpTerm& t : master_terms(columns[j], p, model)) {
-        rows[t.var].push_back({j, t.coeff});
-      }
-    }
-    return rows;
-  };
 
-  // Pricing step shared by both master paths: min-weight arborescence under
-  // the port duals `y` (2p or p entries, row layout as above).  Returns
+  // Pricing step: min-weight arborescence under the port duals `y` (one
+  // per master row: 2p or p entries in master_terms' layout).  Returns
   // true when an improving column was appended.  The arc-price fill fans
   // out over the pool (price[e] is a function of e alone, so tasks write
   // disjoint slots and the vector is bitwise-independent of the chunking);
@@ -1106,87 +1092,59 @@ void PlannerSession::run_packing_solve() {
     return add_column(priced.edges);  // duplicate: numerically converged
   };
 
-  // Master engine knobs shared by both paths (the rebuild path adds its
-  // engine selection and warm basis per round).
+  // ---- Standing master: rows are fixed up front and the model starts from
+  // every pooled column; each pricing round appends one column and
+  // re-optimizes from the current basis. ----
   SimplexOptions master_lp_options;
-  master_lp_options.pricing = options.master_pricing;
-  master_lp_options.dual_row_rule = options.master_dual_row_rule;
-  master_lp_options.solve_mode = options.master_solve_mode;
+  master_lp_options.pricing = kPackingPricing;
+  master_lp_options.dual_row_rule = kPackingDualRowRule;
   master_lp_options.collect_kernel_timing = options.master_kernel_timing;
-
-  if (options.incremental_master) {
-    // ---- Standing master: rows are fixed up front and the model starts
-    // from every pooled column; each pricing round appends one column and
-    // re-optimizes from the current basis. ----
-    LpProblem lp(Objective::kMaximize);
-    for (std::size_t j = 0; j < columns.size(); ++j) {
-      lp.add_variable(1.0, "tree" + std::to_string(j));
-    }
-    for (const std::vector<LpTerm>& row : build_master_rows(columns.size())) {
-      lp.add_constraint(row, RowSense::kLessEqual, 1.0);
-    }
-    IncrementalSimplex engine(lp, master_lp_options);
-    std::vector<double> smoothed;  // Wentges stabilization center
-    while (columns.size() < options.max_columns) {
-      ++solution.separation_rounds;
-      Timer master_timer;
-      const LpSolution master = engine.solve();
-      solution.master_wall_ms += master_timer.millis();
-      BT_REQUIRE(master.status == LpStatus::kOptimal,
-                 "solve_ssb_column_generation: master LP " + to_string(master.status));
-      solution.lp_iterations += master.iterations;
-      lambda = master.x;
-
-      // Price under smoothed duals; on mis-pricing fall back to the exact
-      // duals, which alone certify optimality.
-      const double alpha = options.dual_smoothing;
-      bool progressed;
-      if (alpha > 0.0 && !smoothed.empty()) {
-        for (std::size_t i = 0; i < smoothed.size(); ++i) {
-          smoothed[i] = alpha * smoothed[i] + (1.0 - alpha) * master.duals[i];
-        }
-        progressed = price_and_append(smoothed);
-        if (!progressed) {
-          smoothed = master.duals;  // re-center the stabilization
-          progressed = price_and_append(master.duals);
-        }
-      } else {
-        smoothed = master.duals;
-        progressed = price_and_append(master.duals);
-      }
-      if (!progressed) break;
-      engine.add_column(1.0, master_terms(columns.back(), p, model));
-    }
-    solution.lp_stats.accumulate(engine.engine_stats());
-  } else {
-    // ---- Legacy path: rebuild the whole master LP every round and re-solve
-    // it from the previous optimal basis (kept for benchmarking). ----
-    std::vector<std::size_t> warm_basis;  // master basis carried across rounds
-    while (columns.size() < options.max_columns) {
-      ++solution.separation_rounds;
-      LpProblem lp(Objective::kMaximize);
-      for (std::size_t j = 0; j < columns.size(); ++j) {
-        lp.add_variable(1.0, "tree" + std::to_string(j));
-      }
-      for (const std::vector<LpTerm>& row : build_master_rows(columns.size())) {
-        lp.add_constraint(row, RowSense::kLessEqual, 1.0);
-      }
-
-      SimplexOptions lp_options = master_lp_options;
-      lp_options.engine = options.master_engine;
-      lp_options.stats = &solution.lp_stats;
-      if (!warm_basis.empty()) lp_options.warm_basis = &warm_basis;
-      Timer master_timer;
-      const LpSolution master = solve_lp(lp, lp_options);
-      solution.master_wall_ms += master_timer.millis();
-      BT_REQUIRE(master.status == LpStatus::kOptimal,
-                 "solve_ssb_column_generation: master LP " + to_string(master.status));
-      solution.lp_iterations += master.iterations;
-      lambda = master.x;
-      warm_basis = master.basis;
-      if (!price_and_append(master.duals)) break;
+  LpProblem lp(Objective::kMaximize);
+  for (std::size_t j = 0; j < columns.size(); ++j) {
+    lp.add_variable(1.0, "tree" + std::to_string(j));
+  }
+  // Rows transposed from the canonical per-column layout of master_terms
+  // (rows exist even when empty, so indexing is stable as columns arrive).
+  std::vector<std::vector<LpTerm>> rows(model == PortModel::kBidirectional ? 2 * p : p);
+  for (std::size_t j = 0; j < columns.size(); ++j) {
+    for (const LpTerm& t : master_terms(columns[j], p, model)) {
+      rows[t.var].push_back({j, t.coeff});
     }
   }
+  for (const std::vector<LpTerm>& row : rows) lp.add_constraint(row, RowSense::kLessEqual, 1.0);
+  IncrementalSimplex engine(lp, master_lp_options);
+  std::vector<double> smoothed;  // Wentges stabilization center
+  while (columns.size() < options.max_columns) {
+    ++solution.separation_rounds;
+    Timer master_timer;
+    const LpSolution master = engine.solve();
+    solution.master_wall_ms += master_timer.millis();
+    BT_REQUIRE(master.status == LpStatus::kOptimal,
+               "solve_ssb_column_generation: master LP " + to_string(master.status));
+    solution.lp_iterations += master.iterations;
+    lambda = master.x;
+
+    // Price under smoothed duals; on mis-pricing fall back to the exact
+    // duals, which alone certify optimality.
+    const double alpha = options.dual_smoothing;
+    bool progressed;
+    if (alpha > 0.0 && !smoothed.empty()) {
+      for (std::size_t i = 0; i < smoothed.size(); ++i) {
+        smoothed[i] = alpha * smoothed[i] + (1.0 - alpha) * master.duals[i];
+      }
+      progressed = price_and_append(smoothed);
+      if (!progressed) {
+        smoothed = master.duals;  // re-center the stabilization
+        progressed = price_and_append(master.duals);
+      }
+    } else {
+      smoothed = master.duals;
+      progressed = price_and_append(master.duals);
+    }
+    if (!progressed) break;
+    engine.add_column(1.0, master_terms(columns.back(), p, model));
+  }
+  solution.lp_stats.accumulate(engine.engine_stats());
   BT_REQUIRE(columns.size() < options.max_columns,
              "solve_ssb_column_generation: column cap hit without convergence");
 

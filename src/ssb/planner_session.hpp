@@ -237,6 +237,16 @@ class PlannerSession {
  private:
   static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
 
+  /// LP pricing of each master.  The cutting-plane value and stable
+  /// masters re-optimize in a handful of pivots per lexicographic round,
+  /// where the candidate-list Dantzig scan wins and reference weights never
+  /// amortize their pivot-row cost; the packing master's long pricing runs
+  /// profit from Devex weights and dual steepest edge.
+  static constexpr PricingRule kCuttingPricing = PricingRule::kDantzig;
+  static constexpr DualRowRule kCuttingDualRowRule = DualRowRule::kDevex;
+  static constexpr PricingRule kPackingPricing = PricingRule::kDevex;
+  static constexpr DualRowRule kPackingDualRowRule = DualRowRule::kSteepestEdge;
+
   // cutting-plane internals
   double stabilization_weight(EdgeId e) const;
   SimplexOptions cutting_master_options(LpEngineStats* stats) const;

@@ -20,10 +20,10 @@
 // lambda_T, this solver yields the explicit *multi-tree schedule* -- the set
 // of spanning trees and rates achieving TP* -- which the paper describes as
 // the "very complicated" step it deliberately skips.  The cutting-plane
-// solver (ssb_cutting_plane.hpp) computes the same value and remains as a
-// cross-check; column generation is the production solver because the
-// cutting-plane master stalls on platforms with massively degenerate
-// optimal faces (see DESIGN.md).
+// solver (ssb_cutting_plane.hpp) computes the same value from the arc loads
+// alone; the tree columns make this solver the one whose answer the
+// multi-tree schedule executes directly (README, "From loads to
+// schedules").
 
 #include <vector>
 
@@ -45,22 +45,19 @@ struct SsbPackingSolution : SsbSolution {
   std::vector<PackedTree> trees;
 };
 
-/// Shared fields (tolerance, incremental_master, port_model, engine knobs)
-/// live in SsbSolveOptions so planner sessions configure both SSB masters
-/// uniformly; the base's pricing defaults (Devex + dual steepest-edge) are
-/// this master's production configuration.
+/// Shared fields (tolerance, port_model, kernel timing, pool) live in
+/// SsbSolveOptions so planner sessions configure both SSB masters
+/// uniformly.  The master is one standing IncrementalSimplex that gains a
+/// column per pricing round.
 struct SsbColumnGenOptions : SsbSolveOptions {
   std::size_t max_columns = 5000;
-  /// Simplex engine for the master; only consulted on the rebuild path
-  /// (the incremental master always runs the sparse LU engine).
-  LpEngine master_engine = LpEngine::kSparse;
-  /// Wentges dual smoothing for the pricing oracle (incremental master
-  /// only): price with y_hat = alpha * y_prev + (1 - alpha) * y instead of
-  /// the raw master duals, which oscillate heavily on the degenerate packing
-  /// master and otherwise drive hundreds of near-redundant pricing rounds
-  /// at scale (2-12x fewer rounds at 80 nodes).  When the smoothed duals
-  /// mis-price (no improving column), the round re-prices with the exact
-  /// duals, so convergence and optimality are unaffected.  0 disables.
+  /// Wentges dual smoothing for the pricing oracle: price with
+  /// y_hat = alpha * y_prev + (1 - alpha) * y instead of the raw master
+  /// duals, which oscillate heavily on the degenerate packing master and
+  /// otherwise drive hundreds of near-redundant pricing rounds at scale
+  /// (2-12x fewer rounds at 80 nodes).  When the smoothed duals mis-price
+  /// (no improving column), the round re-prices with the exact duals, so
+  /// convergence and optimality are unaffected.  0 disables.
   double dual_smoothing = 0.5;
   /// Publish the positive-rate columns through the base class's
   /// SsbSolution::tree_columns (on by default), so colgen-sourced schedule

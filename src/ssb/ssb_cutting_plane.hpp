@@ -25,8 +25,10 @@
 // keeps the standing basis dual feasible -- the new slack is basic and the
 // old duals still price every column), and reoptimize_dual() restores
 // primal feasibility with a handful of dual pivots instead of re-solving
-// from the slack basis.  The rebuild-every-round path is kept for
-// benchmarking (SsbCuttingPlaneOptions::incremental_master = false).
+// from the slack basis.  The rebuild-every-round path
+// (SsbCuttingPlaneOptions::incremental_master = false) is the same cold
+// solve the final polish runs; it benchmarks the incremental master and
+// pins its bitwise agreement.
 //
 // Degeneracy is tamed lexicographically: each round first solves the pure
 // master for the throughput value TP_b only, then re-solves with TP pinned
@@ -49,18 +51,16 @@
 
 namespace bt {
 
-/// Shared fields (tolerance, incremental_master, port_model, engine knobs)
-/// live in SsbSolveOptions so planner sessions configure both SSB masters
-/// uniformly.  This struct overrides the pricing defaults: the
-/// lexicographic two-master rounds re-optimize in a handful of pivots
-/// each, where the candidate-list Dantzig scan wins and reference weights
-/// never amortize their per-pivot pivot-row cost (see the hypersparse-core
-/// ablation in BENCH_lp.json).  All combinations remain selectable.
+/// Shared fields (tolerance, port_model, kernel timing, pool) live in
+/// SsbSolveOptions so planner sessions configure both SSB masters
+/// uniformly.
 struct SsbCuttingPlaneOptions : SsbSolveOptions {
-  SsbCuttingPlaneOptions() {
-    master_pricing = PricingRule::kDantzig;
-    master_dual_row_rule = DualRowRule::kDevex;
-  }
+  /// Keep the value and stable masters alive across separation rounds
+  /// (IncrementalSimplex: appended cut rows, dual re-optimization).  When
+  /// false, every round solves both masters cold over the whole pool --
+  /// the polish path's solve -- which benchmarks the incremental master
+  /// and must report a bitwise-identical throughput.
+  bool incremental_master = true;
   /// Safety cap, applied to each of the two separation loops independently
   /// (main loop: every non-final round adds >= 1 new cut; polish loop:
   /// usually 1-2 rounds re-deriving the reported value with cold solves).

@@ -44,7 +44,7 @@ SsbDirectSolution solve_ssb_direct(const Platform& platform,
     // For genuine solutions the two coincide (the source never usefully
     // receives its own commodity), but the gross form also admits degenerate
     // circulations that fake delivery through cycles touching the source or
-    // the destination -- see DESIGN.md.
+    // the destination; the net form rules them out.
     std::vector<LpTerm> send_row;
     for (EdgeId e : g.out_edges(source)) send_row.push_back({x_var(e, k), 1.0});
     for (EdgeId e : g.in_edges(source)) send_row.push_back({x_var(e, k), -1.0});

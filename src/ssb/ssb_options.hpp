@@ -5,10 +5,9 @@
 // Both standing masters -- the cutting-plane value/stable pair and the
 // column-generation packing master -- are configured from the same base so
 // a PlannerSession (planner_session.hpp) can set tolerances, the port
-// model and the LP engine knobs once and have the two masters agree on
-// them.  The derived structs add the solver-specific fields and override
-// the pricing defaults where the per-master A/B benchmarks picked
-// different production configurations (see BENCH_lp.json).
+// model, kernel timing and the oracle pool once and have the two masters
+// agree on them.  The derived structs add the solver-specific fields.  The
+// masters' LP pricing rules are fixed per master in PlannerSession.
 
 #include "lp/simplex.hpp"
 #include "ssb/ssb_solution.hpp"
@@ -21,23 +20,9 @@ struct SsbSolveOptions {
   /// Convergence tolerance of the outer loop (cut separation / column
   /// pricing); the master LPs themselves solve tighter.
   double tolerance = 1e-7;
-  /// Keep one master LP alive across rounds (IncrementalSimplex warm
-  /// re-solves).  When false, the master is rebuilt and re-solved every
-  /// round -- the pre-incremental behavior, kept for benchmarking.
-  bool incremental_master = true;
   /// Port model of the occupation rows: separate out/in rows per node
   /// (bidirectional one-port) or one combined row (unidirectional).
   PortModel port_model = PortModel::kBidirectional;
-  /// Master LP engine knobs, forwarded into SimplexOptions for every
-  /// master solve (warm and cold).  The pricing defaults here are the
-  /// engine-wide production configuration (Devex primal + dual
-  /// steepest-edge rows); SsbCuttingPlaneOptions overrides them -- its
-  /// short lexicographic rounds re-optimize in a handful of pivots where
-  /// the candidate-list Dantzig scan wins and reference weights never
-  /// amortize (see the hypersparse-core ablation in BENCH_lp.json).
-  PricingRule master_pricing = PricingRule::kDevex;
-  DualRowRule master_dual_row_rule = DualRowRule::kSteepestEdge;
-  BasisLu::SolveMode master_solve_mode = BasisLu::SolveMode::kReachSet;
   /// Also collect per-call FTRAN/BTRAN wall-clock into
   /// SsbSolution::lp_stats (the reach counters are always collected).
   bool master_kernel_timing = false;

@@ -1,8 +1,8 @@
 // Tests for the sparse LU simplex engine (basis_lu.hpp + simplex.cpp):
-// randomized cross-validation against the exact rational simplex and the
-// dense reference engine, warm-start invariance, a degenerate/cycling
-// regression that exercises the eta-update + refactorization path, and the
-// incremental (append-column) API used by the column-generation master.
+// randomized cross-validation against the exact rational simplex,
+// warm-start invariance, a degenerate/cycling regression that exercises the
+// Forrest-Tomlin update + refactorization path, and the incremental
+// (append-column) API used by the column-generation master.
 
 #include <gtest/gtest.h>
 
@@ -20,34 +20,21 @@ namespace bt {
 namespace {
 
 /// Random integer-coefficient maximization program with <= rows and
-/// non-negative rhs, mirrored into both representations.
-struct PairedLp {
-  ExactLp exact;
-  LpProblem approx{Objective::kMaximize};
-};
-
-PairedLp random_paired_lp(Rng& rng, std::size_t min_vars = 2, std::size_t max_extra = 6) {
-  PairedLp lp;
+/// non-negative rhs.
+LpProblem random_lp(Rng& rng, std::size_t min_vars = 2, std::size_t max_extra = 6) {
+  LpProblem lp(Objective::kMaximize);
   const std::size_t vars = min_vars + rng.index(max_extra);
   const std::size_t rows = 2 + rng.index(max_extra);
-  lp.exact.c.resize(vars);
   for (std::size_t j = 0; j < vars; ++j) {
-    const auto cj = rng.uniform_int(0, 9);
-    lp.exact.c[j] = Rational(cj);
-    lp.approx.add_variable(static_cast<double>(cj));
+    lp.add_variable(static_cast<double>(rng.uniform_int(0, 9)));
   }
   for (std::size_t i = 0; i < rows; ++i) {
-    std::vector<Rational> row(vars);
     std::vector<LpTerm> terms;
     for (std::size_t j = 0; j < vars; ++j) {
       const auto aij = rng.uniform_int(0, 6);
-      row[j] = Rational(aij);
       if (aij != 0) terms.push_back({j, static_cast<double>(aij)});
     }
-    const auto bi = rng.uniform_int(1, 20);
-    lp.exact.a.push_back(std::move(row));
-    lp.exact.b.push_back(Rational(bi));
-    lp.approx.add_constraint(terms, RowSense::kLessEqual, static_cast<double>(bi));
+    lp.add_constraint(terms, RowSense::kLessEqual, static_cast<double>(rng.uniform_int(1, 20)));
   }
   return lp;
 }
@@ -58,21 +45,21 @@ TEST(SparseEngine, PropertyMatchesExactSimplexObjectiveAndDuals) {
   Rng rng(0x5EED);
   int optimal = 0;
   for (int trial = 0; trial < 80; ++trial) {
-    PairedLp lp = random_paired_lp(rng);
-    const auto exact = solve_exact_lp(lp.exact);
-    const auto s = solve_lp(lp.approx);  // default engine: sparse LU
+    const LpProblem lp = random_lp(rng);
+    const auto exact = solve_exact_lp(lp);
+    const auto s = solve_lp(lp);
     if (exact.status == ExactStatus::kUnbounded) {
       EXPECT_EQ(s.status, LpStatus::kUnbounded) << "trial " << trial;
       continue;
     }
     ASSERT_EQ(s.status, LpStatus::kOptimal) << "trial " << trial;
     EXPECT_NEAR(s.objective, exact.objective.to_double(), 1e-7) << "trial " << trial;
-    EXPECT_LE(lp.approx.max_violation(s.x), 1e-7) << "trial " << trial;
+    EXPECT_LE(lp.max_violation(s.x), 1e-7) << "trial " << trial;
     // Strong duality: b^T y = c^T x, with y >= 0 on <= rows of a max program.
     double dual_objective = 0.0;
-    for (std::size_t i = 0; i < lp.approx.num_constraints(); ++i) {
+    for (std::size_t i = 0; i < lp.num_constraints(); ++i) {
       EXPECT_GE(s.duals[i], -1e-7) << "trial " << trial << " row " << i;
-      dual_objective += s.duals[i] * lp.approx.row(i).rhs;
+      dual_objective += s.duals[i] * lp.row(i).rhs;
     }
     EXPECT_NEAR(dual_objective, s.objective, 1e-6) << "trial " << trial;
     ++optimal;
@@ -80,15 +67,16 @@ TEST(SparseEngine, PropertyMatchesExactSimplexObjectiveAndDuals) {
   EXPECT_GT(optimal, 40);
 }
 
-TEST(SparseEngine, AgreesWithDenseReferenceOnMixedSenseRows) {
+TEST(SparseEngine, AgreesWithExactSimplexOnMixedSenseRows) {
   // >= and = rows force the phase-1 + artificial-purge path through the
-  // factorization (including redundant-row drops).
+  // factorization (including redundant-row drops).  Objective coefficients
+  // are multiples of 1/8 in [0.5, 4), so the program is exact in doubles.
   Rng rng(0xD1FF);
   for (int trial = 0; trial < 60; ++trial) {
-    LpProblem sparse_lp(Objective::kMinimize);
+    LpProblem lp(Objective::kMinimize);
     const std::size_t vars = 2 + rng.index(4);
     for (std::size_t j = 0; j < vars; ++j) {
-      sparse_lp.add_variable(rng.uniform_real(0.5, 4.0));
+      lp.add_variable(static_cast<double>(rng.uniform_int(4, 31)) / 8.0);
     }
     const std::size_t rows = 2 + rng.index(4);
     for (std::size_t i = 0; i < rows; ++i) {
@@ -100,16 +88,17 @@ TEST(SparseEngine, AgreesWithDenseReferenceOnMixedSenseRows) {
       const RowSense sense = i % 3 == 0   ? RowSense::kGreaterEqual
                              : i % 3 == 1 ? RowSense::kLessEqual
                                           : RowSense::kEqual;
-      sparse_lp.add_constraint(terms, sense, static_cast<double>(rng.uniform_int(0, 8)));
+      lp.add_constraint(terms, sense, static_cast<double>(rng.uniform_int(0, 8)));
     }
-    SimplexOptions dense_options;
-    dense_options.engine = LpEngine::kDenseReference;
-    const LpSolution dense = solve_lp(sparse_lp, dense_options);
-    const LpSolution sparse = solve_lp(sparse_lp);
-    ASSERT_EQ(sparse.status, dense.status) << "trial " << trial;
-    if (sparse.status == LpStatus::kOptimal) {
-      EXPECT_NEAR(sparse.objective, dense.objective, 1e-6) << "trial " << trial;
+    const ExactSolution exact = solve_exact_lp(lp);
+    const LpSolution sparse = solve_lp(lp);
+    if (exact.status == ExactStatus::kInfeasible) {
+      EXPECT_EQ(sparse.status, LpStatus::kInfeasible) << "trial " << trial;
+      continue;
     }
+    ASSERT_EQ(exact.status, ExactStatus::kOptimal) << "trial " << trial;
+    ASSERT_EQ(sparse.status, LpStatus::kOptimal) << "trial " << trial;
+    EXPECT_NEAR(sparse.objective, exact.objective.to_double(), 1e-6) << "trial " << trial;
   }
 }
 
@@ -120,33 +109,34 @@ TEST(SparseEngine, WarmStartInvariance) {
   // warm re-solve converges in at most one full pricing pass.
   Rng rng(0x3A2B);
   for (int trial = 0; trial < 40; ++trial) {
-    PairedLp lp = random_paired_lp(rng);
-    const LpSolution cold = solve_lp(lp.approx);
+    const LpProblem lp = random_lp(rng);
+    const LpSolution cold = solve_lp(lp);
     if (cold.status != LpStatus::kOptimal || cold.basis.empty()) continue;
     SimplexOptions options;
     options.warm_basis = &cold.basis;
-    const LpSolution warm = solve_lp(lp.approx, options);
+    const LpSolution warm = solve_lp(lp, options);
     ASSERT_EQ(warm.status, LpStatus::kOptimal) << "trial " << trial;
     EXPECT_NEAR(warm.objective, cold.objective, 1e-8) << "trial " << trial;
     EXPECT_LE(warm.iterations, 2u) << "trial " << trial;
   }
 }
 
-// ---------------------------------------- eta-update / refactorization -----
+// ------------------------------- Forrest-Tomlin update / refactorization -----
 
 TEST(SparseEngine, RefactorPeriodDoesNotChangeTheOptimum) {
   // The same degenerate program solved with refactorization after every
-  // pivot, every third pivot, and only on the eta-file default must agree:
-  // the eta file and a fresh LU are interchangeable representations.
+  // pivot, every third pivot, and on the default period must agree: the
+  // Forrest-Tomlin updated factors and a fresh LU are interchangeable
+  // representations.
   Rng rng(0xE7A);
   for (int trial = 0; trial < 25; ++trial) {
-    PairedLp lp = random_paired_lp(rng, 4, 5);
-    const auto exact = solve_exact_lp(lp.exact);
+    const LpProblem lp = random_lp(rng, 4, 5);
+    const auto exact = solve_exact_lp(lp);
     if (exact.status != ExactStatus::kOptimal) continue;
     for (const std::size_t period : {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
       SimplexOptions options;
       options.refactor_period = period;
-      const LpSolution s = solve_lp(lp.approx, options);
+      const LpSolution s = solve_lp(lp, options);
       ASSERT_EQ(s.status, LpStatus::kOptimal) << "trial " << trial << " period " << period;
       EXPECT_NEAR(s.objective, exact.objective.to_double(), 1e-7)
           << "trial " << trial << " period " << period;
@@ -157,7 +147,7 @@ TEST(SparseEngine, RefactorPeriodDoesNotChangeTheOptimum) {
 TEST(SparseEngine, DegenerateCyclingRegression) {
   // Classic degeneracy: many constraints active at the origin.  The engine
   // must terminate (Bland fallback) and find the exact optimum while its
-  // pivots run through the eta-update path.
+  // pivots run through the Forrest-Tomlin update path.
   LpProblem lp(Objective::kMaximize);
   const auto x = lp.add_variable(1.0);
   const auto y = lp.add_variable(1.0);
@@ -381,25 +371,6 @@ TEST(IncrementalSimplex, SetRowRhsBeforeFirstSolveIsHonored) {
   EXPECT_NEAR(tightened.objective, 2.0, 1e-9);
 }
 
-TEST(SparseEngine, UpdateModesAgreeOnRandomPrograms) {
-  Rng rng(0xF71);
-  for (int trial = 0; trial < 30; ++trial) {
-    PairedLp lp = random_paired_lp(rng, 3, 5);
-    SimplexOptions ft;
-    ft.update_mode = BasisLu::UpdateMode::kForrestTomlin;
-    ft.refactor_period = 1 + rng.index(8);
-    SimplexOptions pf;
-    pf.update_mode = BasisLu::UpdateMode::kProductForm;
-    pf.refactor_period = ft.refactor_period;
-    const LpSolution a = solve_lp(lp.approx, ft);
-    const LpSolution b = solve_lp(lp.approx, pf);
-    ASSERT_EQ(a.status, b.status) << "trial " << trial;
-    if (a.status == LpStatus::kOptimal) {
-      EXPECT_NEAR(a.objective, b.objective, 1e-8) << "trial " << trial;
-    }
-  }
-}
-
 // ------------------------------------ Devex / steepest-edge pricing (PR 5) --
 
 TEST(SparseEngine, DevexWeightResetsAreCorrectAcrossRefactorPeriods) {
@@ -411,15 +382,15 @@ TEST(SparseEngine, DevexWeightResetsAreCorrectAcrossRefactorPeriods) {
   // under both pricing rules and both dual row selections.
   Rng rng(0xDE5E);
   for (int trial = 0; trial < 30; ++trial) {
-    PairedLp lp = random_paired_lp(rng, 4, 5);
-    const auto exact = solve_exact_lp(lp.exact);
+    const LpProblem lp = random_lp(rng, 4, 5);
+    const auto exact = solve_exact_lp(lp);
     if (exact.status != ExactStatus::kOptimal) continue;
     for (const std::size_t period : {std::size_t{1}, std::size_t{2}, std::size_t{64}}) {
       SimplexOptions options;
       options.pricing = PricingRule::kDevex;
       options.dual_row_rule = DualRowRule::kSteepestEdge;
       options.refactor_period = period;
-      const LpSolution s = solve_lp(lp.approx, options);
+      const LpSolution s = solve_lp(lp, options);
       ASSERT_EQ(s.status, LpStatus::kOptimal) << "trial " << trial << " period " << period;
       EXPECT_NEAR(s.objective, exact.objective.to_double(), 1e-7)
           << "trial " << trial << " period " << period;
@@ -498,9 +469,9 @@ struct Columns {
   }
 };
 
-/// Unit-vector FTRAN/BTRAN through `lu`, returning the number of
-/// elimination steps the solve visited (reach under kReachSet, m under
-/// kFullSweep) via the stats delta.
+/// Unit-vector FTRAN/BTRAN through `lu` as a sparse solve, returning the
+/// number of elimination steps it visited (its reach, or m when it fell
+/// back to the full sweep) via the stats delta.
 std::uint64_t probe_steps(BasisLu& lu, std::size_t m, std::size_t position, bool do_btran,
                           ScatteredVector& x) {
   x.reset(m);
@@ -523,7 +494,6 @@ TEST(BasisLuReach, IdentityBasisSolvesTouchOneStep) {
   for (std::size_t k = 0; k < m; ++k) cols.add({static_cast<std::uint32_t>(k)}, {2.0});
   BasisLu lu;
   ASSERT_TRUE(lu.factorize(m, cols.views()));
-  ASSERT_EQ(lu.solve_mode(), BasisLu::SolveMode::kReachSet);  // production default
   ScatteredVector x;
   for (const std::size_t pos : {std::size_t{0}, std::size_t{7}, std::size_t{31}}) {
     EXPECT_EQ(reach_test::probe_steps(lu, m, pos, /*do_btran=*/false, x), 1u) << pos;
@@ -578,8 +548,9 @@ TEST(BasisLuReach, BlockDiagonalBasisConfinesTheReachToOneBlock) {
 }
 
 TEST(BasisLuReach, FullSweepCountsTheWholeDimensionAndMatchesReachValues) {
-  // Differential: the same factorization solved in both modes returns
-  // bit-identical values, while the stats separate reach from dimension.
+  // Differential: the same factorization solved through the reach set
+  // (kSparse) and the full sweep (kDense) returns bit-identical values,
+  // while the stats separate reach from dimension.
   using reach_test::Columns;
   Rng rng(0x2EAC);
   const std::size_t m = 24;
@@ -596,7 +567,6 @@ TEST(BasisLuReach, FullSweepCountsTheWholeDimensionAndMatchesReachValues) {
     cols.add(std::move(r), std::move(v));
   }
   BasisLu reach, sweep;
-  sweep.set_solve_mode(BasisLu::SolveMode::kFullSweep);
   ASSERT_TRUE(reach.factorize(m, cols.views()));
   ASSERT_TRUE(sweep.factorize(m, cols.views()));
   ScatteredVector a, b;
@@ -612,18 +582,18 @@ TEST(BasisLuReach, FullSweepCountsTheWholeDimensionAndMatchesReachValues) {
     }
     if (probe % 2 == 0) {
       reach.ftran(a, BasisLu::SolveHint::kSparse);
-      sweep.ftran(b);
+      sweep.ftran(b, BasisLu::SolveHint::kDense);
     } else {
       reach.btran(a, BasisLu::SolveHint::kSparse);
-      sweep.btran(b);
+      sweep.btran(b, BasisLu::SolveHint::kDense);
     }
     for (std::size_t i = 0; i < m; ++i) {
       EXPECT_EQ(a.value[i], b.value[i]) << "probe " << probe << " pos " << i;
     }
   }
-  // Full sweep always pays the whole dimension; the reach mode reports at
-  // most that (and its budgeted fallbacks count m too, so the fraction is
-  // an honest average).
+  // The full sweep always pays the whole dimension; reach solves report at
+  // most that (and their budgeted fallbacks count m too, so the fraction
+  // is an honest average).
   EXPECT_EQ(sweep.stats().ftran_reach_steps, sweep.stats().ftran_calls * m);
   EXPECT_EQ(sweep.stats().btran_reach_steps, sweep.stats().btran_calls * m);
   EXPECT_LE(reach.stats().ftran_reach_steps, sweep.stats().ftran_reach_steps);

@@ -2,21 +2,17 @@
 // Release bench-smoke lane and, with a reduced case count, under
 // ASan/UBSan).
 //
-// A seeded generator produces feasible, infeasible, unbounded, degenerate
-// and near-rank-deficient programs and cross-validates every engine the
-// repository carries:
-//
-//   * sparse revised simplex with Forrest-Tomlin updates (production),
-//   * sparse revised simplex with product-form etas (BasisLu::UpdateMode),
-//   * the dense-inverse reference engine,
-//   * the dual simplex / append_row path of IncrementalSimplex,
-//
-// against the exact rational simplex (objectives, duals and complementary
-// slackness) where the program shape allows it, and against each other
-// everywhere else.  A direct BasisLu harness additionally pins FTRAN/BTRAN
-// of both update modes against a from-scratch refactorization after every
-// pivot, and a 120-node cutting-plane run asserts the incremental and
-// rebuild masters agree bitwise.
+// A seeded generator produces feasible, infeasible, unbounded, degenerate,
+// near-rank-deficient and mixed-sense programs.  The exact rational
+// simplex (exact_simplex.hpp) is the one reference: the sparse engine --
+// cold under every pricing x dual-row-rule combination, and through the
+// append_row / set_row_rhs dual-simplex replays of IncrementalSimplex --
+// must match its status and optimum, and its duals must satisfy exact
+// complementary slackness against the float primal.  A direct BasisLu
+// harness additionally pins Forrest-Tomlin FTRAN/BTRAN against a
+// from-scratch refactorization after every pivot, and a 120-node
+// cutting-plane run asserts the incremental and rebuild masters agree
+// bitwise.
 //
 // Case count scales with BT_FUZZ_CASES (default 200).
 
@@ -49,39 +45,36 @@ std::size_t fuzz_cases() {
   return 200;
 }
 
-/// One generated program: the float model plus, when `exact_comparable`
-/// (all <= rows, b >= 0), the mirrored rational model.
-struct FuzzLp {
-  LpProblem approx{Objective::kMaximize};
-  ExactLp exact;
-  bool exact_comparable = true;
-  std::vector<std::vector<LpTerm>> rows;  // term lists, for append replays
-  std::vector<RowSense> senses;
-  std::vector<double> rhs;
-  std::size_t vars = 0;
-};
+/// The oracle's verdict in solve_lp's terms.
+LpStatus lp_status(ExactStatus status) {
+  switch (status) {
+    case ExactStatus::kOptimal: return LpStatus::kOptimal;
+    case ExactStatus::kUnbounded: return LpStatus::kUnbounded;
+    case ExactStatus::kInfeasible: return LpStatus::kInfeasible;
+  }
+  return LpStatus::kIterationLimit;
+}
 
 /// Generator classes, cycled by case index.
 enum class FuzzClass {
-  kFeasible,        // random <= rows, b >= 0: exact-comparable
+  kFeasible,        // random <= rows, b >= 0
   kDegenerate,      // many zero right-hand sides: ties everywhere
   kRankDeficient,   // duplicated / scaled rows and columns
   kUnbounded,       // some columns with no positive entries
   kMixedSense,      // >= and = rows: infeasible cases arise naturally
 };
 
-FuzzLp generate(Rng& rng, FuzzClass cls) {
-  FuzzLp lp;
-  lp.vars = 1 + rng.index(7);
+LpProblem generate(Rng& rng, FuzzClass cls) {
+  const std::size_t vars = 1 + rng.index(7);
   const std::size_t rows = 1 + rng.index(7);
 
   // Integer coefficients in [-3, 6] (class-dependent sign policy) stay
   // exactly representable on both sides of the differential.
-  std::vector<std::vector<int>> a(rows, std::vector<int>(lp.vars, 0));
-  std::vector<int> b(rows, 0), c(lp.vars, 0);
-  for (std::size_t j = 0; j < lp.vars; ++j) c[j] = rng.uniform_int(0, 9);
+  std::vector<std::vector<int>> a(rows, std::vector<int>(vars, 0));
+  std::vector<int> b(rows, 0), c(vars, 0);
+  for (std::size_t j = 0; j < vars; ++j) c[j] = rng.uniform_int(0, 9);
   for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < lp.vars; ++j) {
+    for (std::size_t j = 0; j < vars; ++j) {
       const bool negatives = cls == FuzzClass::kUnbounded || cls == FuzzClass::kMixedSense;
       a[i][j] = negatives ? rng.uniform_int(-3, 4) : rng.uniform_int(0, 6);
     }
@@ -91,25 +84,23 @@ FuzzLp generate(Rng& rng, FuzzClass cls) {
     // Duplicate a row (scaled) and, sometimes, a column.
     const std::size_t src = rng.index(rows - 1);
     const int scale = 1 + static_cast<int>(rng.index(3));
-    for (std::size_t j = 0; j < lp.vars; ++j) a[rows - 1][j] = scale * a[src][j];
+    for (std::size_t j = 0; j < vars; ++j) a[rows - 1][j] = scale * a[src][j];
     b[rows - 1] = scale * b[src];
-    if (lp.vars >= 2 && rng.bernoulli(0.5)) {
-      const std::size_t jsrc = rng.index(lp.vars - 1);
-      for (std::size_t i = 0; i < rows; ++i) a[i][lp.vars - 1] = a[i][jsrc];
-      c[lp.vars - 1] = c[jsrc];
+    if (vars >= 2 && rng.bernoulli(0.5)) {
+      const std::size_t jsrc = rng.index(vars - 1);
+      for (std::size_t i = 0; i < rows; ++i) a[i][vars - 1] = a[i][jsrc];
+      c[vars - 1] = c[jsrc];
     }
   }
-  if (cls == FuzzClass::kUnbounded && lp.vars >= 1) {
+  if (cls == FuzzClass::kUnbounded) {
     // Give one profitable column only non-positive entries.
-    const std::size_t j = rng.index(lp.vars);
+    const std::size_t j = rng.index(vars);
     for (std::size_t i = 0; i < rows; ++i) a[i][j] = -std::abs(a[i][j]);
     c[j] = 1 + rng.uniform_int(0, 5);
   }
 
-  for (std::size_t j = 0; j < lp.vars; ++j) {
-    lp.approx.add_variable(static_cast<double>(c[j]));
-    lp.exact.c.push_back(Rational(c[j]));
-  }
+  LpProblem lp(Objective::kMaximize);
+  for (std::size_t j = 0; j < vars; ++j) lp.add_variable(static_cast<double>(c[j]));
   for (std::size_t i = 0; i < rows; ++i) {
     RowSense sense = RowSense::kLessEqual;
     if (cls == FuzzClass::kMixedSense) {
@@ -119,29 +110,12 @@ FuzzLp generate(Rng& rng, FuzzClass cls) {
                           : RowSense::kLessEqual;
     }
     std::vector<LpTerm> terms;
-    std::vector<Rational> exact_row;
-    for (std::size_t j = 0; j < lp.vars; ++j) {
+    for (std::size_t j = 0; j < vars; ++j) {
       if (a[i][j] != 0) terms.push_back({j, static_cast<double>(a[i][j])});
-      exact_row.push_back(Rational(a[i][j]));
     }
-    lp.approx.add_constraint(terms, sense, static_cast<double>(b[i]));
-    lp.rows.push_back(std::move(terms));
-    lp.senses.push_back(sense);
-    lp.rhs.push_back(static_cast<double>(b[i]));
-    if (sense != RowSense::kLessEqual || b[i] < 0) lp.exact_comparable = false;
-    lp.exact.a.push_back(std::move(exact_row));
-    lp.exact.b.push_back(Rational(b[i]));
+    lp.add_constraint(terms, sense, static_cast<double>(b[i]));
   }
   return lp;
-}
-
-SimplexOptions engine_options(LpEngine engine, BasisLu::UpdateMode mode,
-                              std::size_t refactor_period) {
-  SimplexOptions options;
-  options.engine = engine;
-  options.update_mode = mode;
-  options.refactor_period = refactor_period;
-  return options;
 }
 
 // --------------------------------------------------- engine differential --
@@ -149,98 +123,95 @@ SimplexOptions engine_options(LpEngine engine, BasisLu::UpdateMode mode,
 TEST(LpFuzz, EnginesAgreeWithExactSimplexOnObjectivesAndDuals) {
   Rng rng(0xF022);
   const std::size_t cases = fuzz_cases();
-  std::size_t optimal = 0, unbounded = 0;
+  std::size_t optimal = 0, unbounded = 0, infeasible = 0;
   for (std::size_t trial = 0; trial < cases; ++trial) {
     const FuzzClass cls = static_cast<FuzzClass>(trial % 5);
-    FuzzLp lp = generate(rng, cls);
+    const LpProblem lp = generate(rng, cls);
 
-    const LpSolution ft = solve_lp(
-        lp.approx, engine_options(LpEngine::kSparse, BasisLu::UpdateMode::kForrestTomlin,
-                                  1 + rng.index(64)));
-    const LpSolution pf = solve_lp(
-        lp.approx, engine_options(LpEngine::kSparse, BasisLu::UpdateMode::kProductForm,
-                                  1 + rng.index(64)));
-    const LpSolution dense =
-        solve_lp(lp.approx, engine_options(LpEngine::kDenseReference,
-                                           BasisLu::UpdateMode::kForrestTomlin, 16));
-
-    // The three float engines must agree on status and optimum.
-    ASSERT_EQ(ft.status, pf.status) << "trial " << trial;
-    ASSERT_EQ(ft.status, dense.status) << "trial " << trial;
-    if (ft.status == LpStatus::kOptimal) {
-      EXPECT_NEAR(ft.objective, pf.objective, 1e-7) << "trial " << trial;
-      EXPECT_NEAR(ft.objective, dense.objective, 1e-7) << "trial " << trial;
-      EXPECT_LE(lp.approx.max_violation(ft.x), 1e-7) << "trial " << trial;
-    }
-
-    if (!lp.exact_comparable) continue;
-    const ExactSolution exact = solve_exact_lp(lp.exact);
+    SimplexOptions options;
+    options.refactor_period = 1 + rng.index(64);
+    const LpSolution ft = solve_lp(lp, options);
+    const ExactSolution exact = solve_exact_lp(lp);
+    ASSERT_EQ(ft.status, lp_status(exact.status)) << "trial " << trial;
     if (exact.status == ExactStatus::kUnbounded) {
-      EXPECT_EQ(ft.status, LpStatus::kUnbounded) << "trial " << trial;
       ++unbounded;
       continue;
     }
-    ASSERT_EQ(ft.status, LpStatus::kOptimal) << "trial " << trial;
+    if (exact.status == ExactStatus::kInfeasible) {
+      ++infeasible;
+      continue;
+    }
     ++optimal;
     EXPECT_NEAR(ft.objective, exact.objective.to_double(), 1e-7) << "trial " << trial;
+    EXPECT_LE(lp.max_violation(ft.x), 1e-7) << "trial " << trial;
 
     // Duals of a (possibly degenerate) optimum need not be unique, so the
-    // float duals are validated structurally -- sign, dual feasibility,
-    // strong duality -- and the exact duals via complementary slackness
-    // against the float primal (valid between *any* optimal primal-dual
-    // pair).
+    // float duals are validated structurally -- sign by row sense, dual
+    // feasibility, strong duality -- and the exact duals via complementary
+    // slackness against the float primal (valid between *any* optimal
+    // primal-dual pair).
     double dual_objective = 0.0;
-    for (std::size_t i = 0; i < lp.rows.size(); ++i) {
-      EXPECT_GE(ft.duals[i], -1e-7) << "trial " << trial << " row " << i;
-      dual_objective += ft.duals[i] * lp.rhs[i];
+    Rational exact_dual_objective(0);
+    std::vector<double> reduced(lp.num_variables());
+    std::vector<Rational> exact_reduced(lp.num_variables());
+    for (std::size_t j = 0; j < lp.num_variables(); ++j) {
+      reduced[j] = lp.objective_coeff(j);
+      exact_reduced[j] = Rational::from_double(reduced[j]);
+    }
+    for (std::size_t i = 0; i < lp.num_constraints(); ++i) {
+      const LpProblem::Row& row = lp.row(i);
+      if (row.sense == RowSense::kLessEqual) {
+        EXPECT_GE(ft.duals[i], -1e-7) << "trial " << trial << " row " << i;
+      } else if (row.sense == RowSense::kGreaterEqual) {
+        EXPECT_LE(ft.duals[i], 1e-7) << "trial " << trial << " row " << i;
+      }
+      dual_objective += ft.duals[i] * row.rhs;
+      exact_dual_objective += exact.duals[i] * Rational::from_double(row.rhs);
+      for (const LpTerm& t : row.terms) {
+        reduced[t.var] -= ft.duals[i] * t.coeff;
+        exact_reduced[t.var] -= exact.duals[i] * Rational::from_double(t.coeff);
+      }
     }
     EXPECT_NEAR(dual_objective, ft.objective, 1e-6) << "trial " << trial;
-    for (std::size_t j = 0; j < lp.vars; ++j) {
-      double reduced = lp.approx.objective_coeff(j);
-      Rational exact_reduced = lp.exact.c[j];
-      for (std::size_t i = 0; i < lp.rows.size(); ++i) {
-        reduced -= ft.duals[i] * lp.exact.a[i][j].to_double();
-        exact_reduced -= exact.duals[i] * lp.exact.a[i][j];
-      }
-      EXPECT_LE(reduced, 1e-6) << "trial " << trial << " col " << j;
+    EXPECT_EQ(exact_dual_objective, exact.objective) << "trial " << trial;
+    for (std::size_t j = 0; j < lp.num_variables(); ++j) {
+      EXPECT_LE(reduced[j], 1e-6) << "trial " << trial << " col " << j;
       // Exact complementary slackness: a variable strictly positive in the
       // float optimum prices to exactly zero under the exact duals.
       if (ft.x[j] > 1e-6) {
-        EXPECT_TRUE(exact_reduced.is_zero())
+        EXPECT_TRUE(exact_reduced[j].is_zero())
             << "trial " << trial << " col " << j << ": exact reduced cost "
-            << exact_reduced.to_double() << " with x = " << ft.x[j];
+            << exact_reduced[j].to_double() << " with x = " << ft.x[j];
       }
     }
   }
-  // The generator must exercise both terminal states.
+  // The generator must exercise every terminal state.
   EXPECT_GT(optimal, cases / 10);
   EXPECT_GT(unbounded, 0u);
+  EXPECT_GT(infeasible, 0u);
 }
 
-// ------------------------------------- pricing / solve mode matrix (PR 5) --
+// ------------------------------------- pricing x dual row rule matrix --
 
-/// All pricing x solve-mode combinations the engine supports; the dual row
-/// rule only acts in dual phases (exercised by the append_row matrix below).
+/// Every pricing x dual-row-rule combination the engine supports; the dual
+/// row rule acts only in dual phases (exercised by the append_row matrix
+/// below).
 struct EngineCombo {
   PricingRule pricing;
   DualRowRule dual_rule;
-  BasisLu::SolveMode solve_mode;
 };
 
 const EngineCombo kCombos[] = {
-    {PricingRule::kDantzig, DualRowRule::kMostInfeasible, BasisLu::SolveMode::kFullSweep},
-    {PricingRule::kDantzig, DualRowRule::kDevex, BasisLu::SolveMode::kReachSet},
-    {PricingRule::kDantzig, DualRowRule::kSteepestEdge, BasisLu::SolveMode::kReachSet},
-    {PricingRule::kDevex, DualRowRule::kMostInfeasible, BasisLu::SolveMode::kFullSweep},
-    {PricingRule::kDevex, DualRowRule::kDevex, BasisLu::SolveMode::kFullSweep},
-    {PricingRule::kDevex, DualRowRule::kSteepestEdge, BasisLu::SolveMode::kReachSet},
+    {PricingRule::kDantzig, DualRowRule::kDevex},
+    {PricingRule::kDantzig, DualRowRule::kSteepestEdge},
+    {PricingRule::kDevex, DualRowRule::kDevex},
+    {PricingRule::kDevex, DualRowRule::kSteepestEdge},
 };
 
 SimplexOptions combo_options(const EngineCombo& combo, std::size_t refactor_period) {
   SimplexOptions options;
   options.pricing = combo.pricing;
   options.dual_row_rule = combo.dual_rule;
-  options.solve_mode = combo.solve_mode;
   options.refactor_period = refactor_period;
   return options;
 }
@@ -248,51 +219,50 @@ SimplexOptions combo_options(const EngineCombo& combo, std::size_t refactor_peri
 TEST(LpFuzz, PricingAndSolveModeMatrixAgreesWithExactSimplex) {
   // Cold solves across the full generator mix (feasible / degenerate /
   // near-rank-deficient / unbounded / mixed-sense): every combination must
-  // agree on status and optimum -- with each other and, where the program
-  // shape allows, with the exact rational simplex.
+  // match the exact rational simplex on status and optimum.
   Rng rng(0x9A7E);
   const std::size_t cases = fuzz_cases() / 2;
   std::size_t optimal = 0;
   for (std::size_t trial = 0; trial < cases; ++trial) {
     const FuzzClass cls = static_cast<FuzzClass>(trial % 5);
-    FuzzLp lp = generate(rng, cls);
+    const LpProblem lp = generate(rng, cls);
     const std::size_t period = 1 + rng.index(64);
-
-    std::vector<LpSolution> solved;
-    for (const EngineCombo& combo : kCombos) {
-      solved.push_back(solve_lp(lp.approx, combo_options(combo, period)));
-    }
-    for (std::size_t c = 1; c < solved.size(); ++c) {
-      ASSERT_EQ(solved[c].status, solved[0].status) << "trial " << trial << " combo " << c;
-      if (solved[0].status == LpStatus::kOptimal) {
-        EXPECT_NEAR(solved[c].objective, solved[0].objective, 1e-7)
-            << "trial " << trial << " combo " << c;
-        EXPECT_LE(lp.approx.max_violation(solved[c].x), 1e-7)
-            << "trial " << trial << " combo " << c;
-      }
-    }
-
-    if (!lp.exact_comparable) continue;
-    const ExactSolution exact = solve_exact_lp(lp.exact);
-    if (exact.status == ExactStatus::kUnbounded) {
-      EXPECT_EQ(solved[0].status, LpStatus::kUnbounded) << "trial " << trial;
-      continue;
-    }
-    ASSERT_EQ(solved[0].status, LpStatus::kOptimal) << "trial " << trial;
-    ++optimal;
-    for (std::size_t c = 0; c < solved.size(); ++c) {
-      EXPECT_NEAR(solved[c].objective, exact.objective.to_double(), 1e-7)
+    const ExactSolution exact = solve_exact_lp(lp);
+    if (exact.status == ExactStatus::kOptimal) ++optimal;
+    for (std::size_t c = 0; c < std::size(kCombos); ++c) {
+      const LpSolution solved = solve_lp(lp, combo_options(kCombos[c], period));
+      ASSERT_EQ(solved.status, lp_status(exact.status)) << "trial " << trial << " combo " << c;
+      if (solved.status != LpStatus::kOptimal) continue;
+      EXPECT_NEAR(solved.objective, exact.objective.to_double(), 1e-7)
           << "trial " << trial << " combo " << c;
+      EXPECT_LE(lp.max_violation(solved.x), 1e-7) << "trial " << trial << " combo " << c;
     }
   }
   EXPECT_GT(optimal, cases / 10);
 }
 
+/// One row of an append_row replay.
+struct AppendedRow {
+  std::vector<LpTerm> terms;
+  RowSense sense;
+  double rhs;
+};
+
+/// `base` plus the first `count` appended rows, as one cold program.
+LpProblem with_appended(const LpProblem& base, const std::vector<AppendedRow>& appends,
+                        std::size_t count) {
+  LpProblem full = base;
+  for (std::size_t k = 0; k < count; ++k) {
+    full.add_constraint(appends[k].terms, appends[k].sense, appends[k].rhs);
+  }
+  return full;
+}
+
 TEST(LpFuzz, RowAppendMatrixAgreesAcrossDualRowRulesAndSolveModes) {
   // The dual row rules act only in the dual re-optimization after appended
   // rows: replay random append_row sequences under every combination and
-  // pin them against cold default-engine solves (degenerate zero right-hand
-  // sides included, so weighted row selection hits ties).
+  // pin them against the exact simplex (degenerate zero right-hand sides
+  // included, so weighted row selection hits ties).
   Rng rng(0xD0A2);
   const std::size_t cases = fuzz_cases() / 4;
   for (std::size_t trial = 0; trial < cases; ++trial) {
@@ -300,15 +270,10 @@ TEST(LpFuzz, RowAppendMatrixAgreesAcrossDualRowRulesAndSolveModes) {
     const std::size_t base_rows = 1 + rng.index(3);
     const std::size_t extra_rows = 1 + rng.index(4);
 
-    std::vector<double> c(vars);
     LpProblem base(Objective::kMaximize);
     for (std::size_t j = 0; j < vars; ++j) {
-      c[j] = rng.uniform_int(0, 9);
-      base.add_variable(c[j]);
+      base.add_variable(static_cast<double>(rng.uniform_int(0, 9)));
     }
-    std::vector<std::vector<LpTerm>> rows;
-    std::vector<RowSense> senses;
-    std::vector<double> rhs;
     auto random_row = [&]() {
       std::vector<LpTerm> terms;
       for (std::size_t j = 0; j < vars; ++j) {
@@ -318,20 +283,14 @@ TEST(LpFuzz, RowAppendMatrixAgreesAcrossDualRowRulesAndSolveModes) {
       return terms;
     };
     for (std::size_t i = 0; i < base_rows; ++i) {
-      rows.push_back(random_row());
-      senses.push_back(RowSense::kLessEqual);
-      rhs.push_back(rng.uniform_int(0, 12));
-      base.add_constraint(rows.back(), senses.back(), rhs.back());
+      const std::vector<LpTerm> terms = random_row();
+      base.add_constraint(terms, RowSense::kLessEqual,
+                          static_cast<double>(rng.uniform_int(0, 12)));
     }
     // The appended tail, shared across every engine combination.
-    struct Append {
-      std::vector<LpTerm> terms;
-      RowSense sense;
-      double rhs;
-    };
-    std::vector<Append> appends;
+    std::vector<AppendedRow> appends;
     for (std::size_t k = 0; k < extra_rows; ++k) {
-      Append a;
+      AppendedRow a;
       a.terms = random_row();
       a.sense = rng.bernoulli(0.25) ? RowSense::kGreaterEqual : RowSense::kLessEqual;
       // Zero right-hand sides force degenerate dual pivots.
@@ -341,6 +300,10 @@ TEST(LpFuzz, RowAppendMatrixAgreesAcrossDualRowRulesAndSolveModes) {
                         rng.uniform_int(a.sense == RowSense::kGreaterEqual ? 0 : -4, 10));
       appends.push_back(std::move(a));
     }
+    std::vector<ExactSolution> exact;
+    for (std::size_t k = 1; k <= appends.size(); ++k) {
+      exact.push_back(solve_exact_lp(with_appended(base, appends, k)));
+    }
 
     for (std::size_t combo_idx = 0; combo_idx < std::size(kCombos); ++combo_idx) {
       IncrementalSimplex incremental(base, combo_options(kCombos[combo_idx], 16));
@@ -349,22 +312,12 @@ TEST(LpFuzz, RowAppendMatrixAgreesAcrossDualRowRulesAndSolveModes) {
         incremental.append_row(appends[k].terms, appends[k].sense, appends[k].rhs);
         inc = inc.status == LpStatus::kOptimal ? incremental.reoptimize_dual()
                                                : incremental.solve();
-
-        LpProblem full(Objective::kMaximize);
-        for (std::size_t j = 0; j < vars; ++j) full.add_variable(c[j]);
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-          full.add_constraint(rows[i], senses[i], rhs[i]);
-        }
-        for (std::size_t i = 0; i <= k; ++i) {
-          full.add_constraint(appends[i].terms, appends[i].sense, appends[i].rhs);
-        }
-        const LpSolution cold = solve_lp(full);
-        ASSERT_EQ(inc.status, cold.status)
+        ASSERT_EQ(inc.status, lp_status(exact[k].status))
             << "trial " << trial << " combo " << combo_idx << " append " << k;
         if (inc.status == LpStatus::kOptimal) {
-          EXPECT_NEAR(inc.objective, cold.objective, 1e-6)
+          EXPECT_NEAR(inc.objective, exact[k].objective.to_double(), 1e-6)
               << "trial " << trial << " combo " << combo_idx << " append " << k;
-          EXPECT_LE(full.max_violation(inc.x), 1e-6)
+          EXPECT_LE(with_appended(base, appends, k + 1).max_violation(inc.x), 1e-6)
               << "trial " << trial << " combo " << combo_idx << " append " << k;
         }
       }
@@ -383,15 +336,10 @@ TEST(LpFuzz, RowAppendReoptimizeDualMatchesColdSolves) {
     const std::size_t base_rows = 1 + rng.index(3);
     const std::size_t extra_rows = 1 + rng.index(5);
 
-    std::vector<double> c(vars);
-    LpProblem base(Objective::kMaximize);
+    LpProblem full(Objective::kMaximize);
     for (std::size_t j = 0; j < vars; ++j) {
-      c[j] = rng.uniform_int(0, 9);
-      base.add_variable(c[j]);
+      full.add_variable(static_cast<double>(rng.uniform_int(0, 9)));
     }
-    std::vector<std::vector<LpTerm>> rows;
-    std::vector<RowSense> senses;
-    std::vector<double> rhs;
     auto random_row = [&]() {
       std::vector<LpTerm> terms;
       for (std::size_t j = 0; j < vars; ++j) {
@@ -401,46 +349,43 @@ TEST(LpFuzz, RowAppendReoptimizeDualMatchesColdSolves) {
       return terms;
     };
     for (std::size_t i = 0; i < base_rows; ++i) {
-      rows.push_back(random_row());
-      senses.push_back(RowSense::kLessEqual);
-      rhs.push_back(rng.uniform_int(0, 12));
-      base.add_constraint(rows.back(), senses.back(), rhs.back());
+      const std::vector<LpTerm> terms = random_row();
+      full.add_constraint(terms, RowSense::kLessEqual,
+                          static_cast<double>(rng.uniform_int(0, 12)));
     }
 
-    IncrementalSimplex incremental(base);
+    IncrementalSimplex incremental(full);
     LpSolution inc = incremental.solve();
     for (std::size_t k = 0; k < extra_rows; ++k) {
-      rows.push_back(random_row());
+      const std::vector<LpTerm> terms = random_row();
       // Appended rows carry any sign of rhs and either inequality sense --
       // the dual phase must digest both.
-      senses.push_back(rng.bernoulli(0.25) ? RowSense::kGreaterEqual : RowSense::kLessEqual);
-      rhs.push_back(rng.uniform_int(senses.back() == RowSense::kGreaterEqual ? 0 : -4, 10));
-      incremental.append_row(rows.back(), senses.back(), rhs.back());
+      const RowSense sense =
+          rng.bernoulli(0.25) ? RowSense::kGreaterEqual : RowSense::kLessEqual;
+      const auto rhs = static_cast<double>(
+          rng.uniform_int(sense == RowSense::kGreaterEqual ? 0 : -4, 10));
+      incremental.append_row(terms, sense, rhs);
+      full.add_constraint(terms, sense, rhs);
       ++appended_total;
       // reoptimize_dual requires the previous solve to have ended optimal;
       // after an infeasible status, re-solving goes through solve().
       inc = inc.status == LpStatus::kOptimal ? incremental.reoptimize_dual()
                                              : incremental.solve();
 
-      LpProblem full(Objective::kMaximize);
-      for (std::size_t j = 0; j < vars; ++j) full.add_variable(c[j]);
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        full.add_constraint(rows[i], senses[i], rhs[i]);
-      }
-      const LpSolution cold = solve_lp(full);
-      const LpSolution cold_pf = solve_lp(
-          full, engine_options(LpEngine::kSparse, BasisLu::UpdateMode::kProductForm, 8));
-      ASSERT_EQ(inc.status, cold.status)
+      const ExactSolution exact = solve_exact_lp(full);
+      ASSERT_EQ(inc.status, lp_status(exact.status))
           << "trial " << trial << " append " << k << ": incremental "
-          << to_string(inc.status) << " vs cold " << to_string(cold.status);
-      ASSERT_EQ(cold.status, cold_pf.status) << "trial " << trial << " append " << k;
+          << to_string(inc.status) << " vs exact " << to_string(lp_status(exact.status));
       if (inc.status == LpStatus::kOptimal) {
-        EXPECT_NEAR(inc.objective, cold.objective, 1e-6) << "trial " << trial << " append " << k;
+        EXPECT_NEAR(inc.objective, exact.objective.to_double(), 1e-6)
+            << "trial " << trial << " append " << k;
         EXPECT_LE(full.max_violation(inc.x), 1e-6) << "trial " << trial << " append " << k;
         // Appended rows are priced through LpSolution::duals like built
         // rows: strong duality over the full row set.
         double dual_objective = 0.0;
-        for (std::size_t i = 0; i < rows.size(); ++i) dual_objective += inc.duals[i] * rhs[i];
+        for (std::size_t i = 0; i < full.num_constraints(); ++i) {
+          dual_objective += inc.duals[i] * full.row(i).rhs;
+        }
         EXPECT_NEAR(dual_objective, inc.objective, 1e-5)
             << "trial " << trial << " append " << k;
       } else {
@@ -486,10 +431,10 @@ TEST(LpFuzz, SetRowRhsMatchesColdSolves) {
       for (std::size_t i = 0; i < nrows; ++i) {
         full.add_constraint(rows[i], RowSense::kLessEqual, rhs[i]);
       }
-      const LpSolution cold = solve_lp(full);
-      ASSERT_EQ(inc.status, cold.status) << "trial " << trial << " change " << change;
+      const ExactSolution exact = solve_exact_lp(full);
+      ASSERT_EQ(inc.status, lp_status(exact.status)) << "trial " << trial << " change " << change;
       if (inc.status == LpStatus::kOptimal) {
-        EXPECT_NEAR(inc.objective, cold.objective, 1e-6)
+        EXPECT_NEAR(inc.objective, exact.objective.to_double(), 1e-6)
             << "trial " << trial << " change " << change;
       }
     }
@@ -599,7 +544,7 @@ TEST(LpFuzz, SetRowRhsUnidirectionalPortRowsMatchesColdSolves) {
 
 // ------------------------------------------------- BasisLu differential --
 
-TEST(LpFuzz, ForrestTomlinAndProductFormSolveIdenticalSystems) {
+TEST(LpFuzz, ForrestTomlinMatchesFreshFactorizationAfterEveryPivot) {
   Rng rng(0xBA51);
   const std::size_t cases = fuzz_cases() / 4;
   for (std::size_t trial = 0; trial < cases; ++trial) {
@@ -633,35 +578,28 @@ TEST(LpFuzz, ForrestTomlinAndProductFormSolveIdenticalSystems) {
       return v;
     };
 
-    BasisLu ft, pf, fresh;
-    ft.set_update_mode(BasisLu::UpdateMode::kForrestTomlin);
-    pf.set_update_mode(BasisLu::UpdateMode::kProductForm);
+    BasisLu ft, fresh;
     ASSERT_TRUE(ft.factorize(m, views())) << "trial " << trial;
-    ASSERT_TRUE(pf.factorize(m, views())) << "trial " << trial;
 
-    ScatteredVector xf, xp, xr;
+    ScatteredVector xf, xr;
     auto compare_solves = [&](const char* what, std::size_t pivot_no) {
       ASSERT_TRUE(fresh.factorize(m, views())) << what;
       for (int probe = 0; probe < 3; ++probe) {
         xf.reset(m);
-        xp.reset(m);
         xr.reset(m);
         for (std::size_t i = 0; i < m; ++i) {
           if (rng.bernoulli(0.4)) {
             const double value = rng.uniform_real(-2.0, 2.0);
             xf.push(static_cast<std::uint32_t>(i), value);
-            xp.push(static_cast<std::uint32_t>(i), value);
             xr.push(static_cast<std::uint32_t>(i), value);
           }
         }
         const bool do_btran = probe % 2 == 1;
         if (do_btran) {
           ft.btran(xf);
-          pf.btran(xp);
           fresh.btran(xr);
         } else {
           ft.ftran(xf);
-          pf.ftran(xp);
           fresh.ftran(xr);
         }
         // This harness deliberately never refactorizes (production does,
@@ -674,15 +612,12 @@ TEST(LpFuzz, ForrestTomlinAndProductFormSolveIdenticalSystems) {
           EXPECT_NEAR(xf.value[i], xr.value[i], 1e-7 * scale)
               << what << " trial " << trial << " pivot " << pivot_no << " "
               << (do_btran ? "btran" : "ftran") << " pos " << i;
-          EXPECT_NEAR(xp.value[i], xr.value[i], 1e-7 * scale)
-              << what << " trial " << trial << " pivot " << pivot_no << " "
-              << (do_btran ? "btran" : "ftran") << " pos " << i;
         }
       }
     };
     compare_solves("fresh", 0);
 
-    // Random basis changes, applied to both update modes in lockstep.
+    // Random basis changes through Forrest-Tomlin updates.
     const std::size_t pivots = 1 + rng.index(2 * m);
     for (std::size_t pv = 1; pv <= pivots; ++pv) {
       const std::size_t leave = rng.index(m);
@@ -695,15 +630,6 @@ TEST(LpFuzz, ForrestTomlinAndProductFormSolveIdenticalSystems) {
       ft.ftran(w);
       if (std::abs(w.value[leave]) < 1e-6) continue;  // unsafe pivot: skip
       ASSERT_TRUE(ft.update(leave, w)) << "trial " << trial << " pivot " << pv;
-      // Re-run the FTRAN through the product-form instance so each mode
-      // consumes its own representation of the same direction.
-      ScatteredVector wp;
-      wp.reset(m);
-      for (std::size_t t = 0; t < entering.first.size(); ++t) {
-        wp.push(entering.first[t], entering.second[t]);
-      }
-      pf.ftran(wp);
-      ASSERT_TRUE(pf.update(leave, wp)) << "trial " << trial << " pivot " << pv;
       col_rows[leave] = std::move(entering.first);
       col_vals[leave] = std::move(entering.second);
       compare_solves("updated", pv);

@@ -345,10 +345,11 @@ TEST(SsbCuttingPlane, LoadPenaltyTamesThePathologicalInstance) {
   EXPECT_NEAR(cut.throughput, cg.throughput, 1e-5 * std::max(1.0, cg.throughput));
 }
 
-TEST(SsbColumnGen, IncrementalAndRebuildMastersAgree) {
-  // The incremental master (standing IncrementalSimplex, appended columns)
-  // and the legacy rebuild-every-round master must find the same optimum --
-  // with either LP engine under the rebuild path.
+TEST(SsbColumnGen, IncrementalPackingMatchesCuttingPlane) {
+  // The standing packing master (one IncrementalSimplex, a column appended
+  // per pricing round) and the cutting-plane solver -- a different master
+  // program over arc loads, re-derived by cold polish solves -- must find
+  // the same optimum.
   Rng rng(611);
   for (int trial = 0; trial < 6; ++trial) {
     RandomPlatformConfig config;
@@ -357,21 +358,11 @@ TEST(SsbColumnGen, IncrementalAndRebuildMastersAgree) {
     Rng prng = rng.split();
     const Platform p = generate_random_platform(config, prng);
 
-    const auto incremental = solve_ssb_column_generation(p);
-
-    SsbColumnGenOptions rebuild_sparse;
-    rebuild_sparse.incremental_master = false;
-    const auto legacy_sparse = solve_ssb_column_generation(p, rebuild_sparse);
-
-    SsbColumnGenOptions rebuild_dense;
-    rebuild_dense.incremental_master = false;
-    rebuild_dense.master_engine = LpEngine::kDenseReference;
-    const auto legacy_dense = solve_ssb_column_generation(p, rebuild_dense);
-
-    const double scale = std::max(1.0, incremental.throughput);
-    EXPECT_NEAR(incremental.throughput, legacy_sparse.throughput, 1e-6 * scale)
-        << "trial " << trial;
-    EXPECT_NEAR(incremental.throughput, legacy_dense.throughput, 1e-6 * scale)
+    const auto packing = solve_ssb_column_generation(p);
+    const auto cutting = solve_ssb_cutting_plane(p);
+    ASSERT_TRUE(packing.solved && cutting.solved) << "trial " << trial;
+    EXPECT_NEAR(packing.throughput, cutting.throughput,
+                1e-6 * std::max(1.0, cutting.throughput))
         << "trial " << trial;
   }
 }

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "lp/exact_simplex.hpp"
+#include "lp/lp_problem.hpp"
 #include "lp/rational.hpp"
 #include "platform/platform.hpp"
 #include "platform/random_generator.hpp"
@@ -29,19 +30,11 @@
 namespace bt {
 namespace {
 
-/// Exact rational from a dyadic double (the test platforms use arc times
-/// k/16, so the conversion is lossless).
-Rational dyadic_rational(double v) {
-  const double scaled = v * 16.0;
-  const auto num = static_cast<std::int64_t>(scaled);
-  EXPECT_EQ(static_cast<double>(num), scaled) << "non-dyadic arc time " << v;
-  return Rational(num, 16);
-}
-
 /// Exact optimum of the projected SSB cut LP: maximize TP subject to the
 /// port rows and one row per source-containing proper subset S
 /// (sum over arcs leaving S of n_e >= TP).  Exponential in p; for the
-/// small test platforms that is the point -- no separation, no floats.
+/// small test platforms that is the point -- no separation, no rounding
+/// (the dyadic arc times k/16 convert to rationals exactly).
 Rational exact_ssb_optimum(const Platform& platform, PortModel model) {
   const Digraph& g = platform.graph();
   const std::size_t p = g.num_nodes();
@@ -49,38 +42,33 @@ Rational exact_ssb_optimum(const Platform& platform, PortModel model) {
   const NodeId source = platform.source();
   EXPECT_LE(p, 16u) << "exact reference is exponential in nodes";
 
-  ExactLp lp;  // variables: n_e (m of them), then TP
-  for (EdgeId e = 0; e < m; ++e) lp.c.push_back(Rational(0));
-  lp.c.push_back(Rational(1));
+  LpProblem lp(Objective::kMaximize);  // variables: n_e (m of them), then TP
+  for (EdgeId e = 0; e < m; ++e) lp.add_variable(0.0);
+  const std::size_t tp = lp.add_variable(1.0);
 
-  auto add_row = [&](std::vector<Rational> row, Rational rhs) {
-    lp.a.push_back(std::move(row));
-    lp.b.push_back(rhs);
-  };
   for (NodeId u = 0; u < p; ++u) {
-    std::vector<Rational> out_row(m + 1, Rational(0)), in_row(m + 1, Rational(0));
-    for (EdgeId e : g.out_edges(u)) out_row[e] = dyadic_rational(platform.edge_time(e));
-    for (EdgeId e : g.in_edges(u)) in_row[e] = dyadic_rational(platform.edge_time(e));
+    std::vector<LpTerm> out_row, in_row;
+    for (EdgeId e : g.out_edges(u)) out_row.push_back({e, platform.edge_time(e)});
+    for (EdgeId e : g.in_edges(u)) in_row.push_back({e, platform.edge_time(e)});
     if (model == PortModel::kBidirectional) {
-      add_row(std::move(out_row), Rational(1));
-      add_row(std::move(in_row), Rational(1));
+      lp.add_constraint(out_row, RowSense::kLessEqual, 1.0);
+      lp.add_constraint(in_row, RowSense::kLessEqual, 1.0);
     } else {
-      for (EdgeId e = 0; e < m; ++e) out_row[e] += in_row[e];
-      add_row(std::move(out_row), Rational(1));
+      out_row.insert(out_row.end(), in_row.begin(), in_row.end());
+      lp.add_constraint(out_row, RowSense::kLessEqual, 1.0);
     }
   }
   // Every proper subset S containing the source: TP - sum_{delta+(S)} n_e <= 0.
   for (std::size_t mask = 0; mask < (std::size_t{1} << p); ++mask) {
     if (!(mask & (std::size_t{1} << source))) continue;
     if (mask + 1 == (std::size_t{1} << p)) continue;  // S = V
-    std::vector<Rational> row(m + 1, Rational(0));
-    row[m] = Rational(1);
+    std::vector<LpTerm> row{{tp, 1.0}};
     for (EdgeId e = 0; e < m; ++e) {
       const bool from_in = (mask >> g.from(e)) & 1;
       const bool to_in = (mask >> g.to(e)) & 1;
-      if (from_in && !to_in) row[e] = Rational(-1);
+      if (from_in && !to_in) row.push_back({e, -1.0});
     }
-    add_row(std::move(row), Rational(0));
+    lp.add_constraint(row, RowSense::kLessEqual, 0.0);
   }
 
   const ExactSolution solution = solve_exact_lp(lp);
