@@ -1,21 +1,17 @@
 // Ablation E7: the three SSB solvers.  The direct solver transcribes program
 // (2) with all commodity variables; the cutting-plane solver works on the
 // projected master LP with lazy min-cut separation; the column-generation
-// solver packs spanning arborescences.  This bench checks their agreement,
-// tracks their cost as the platform grows to paper-and-beyond sizes, and
-// records the cutting-plane master ablation: incremental master
-// (append_row + dual-simplex reoptimize from the standing basis,
-// Forrest-Tomlin updates) vs the rebuild path (cold solve from the slack
-// basis every round).  Both paths walk the same cut trajectory and must
-// report bitwise-identical throughput.
+// solver packs spanning arborescences.  This bench checks their agreement
+// and tracks their cost as the platform grows to paper-and-beyond sizes.
 //
 // Scaling sizes are env-tunable via BT_LP_SIZES (default 20..120; column
 // generation is skipped -- with an explicit "skipped" record -- beyond 150
 // nodes, where its degenerate master tailing dominates; the cutting plane
-// carries the curve to 500, where the batch default completes via its
-// cold-polish stall escape -- see SsbSolution::cold_polish_stalls).  The
-// `direct` solver likewise gets explicit "skipped" records above 12 nodes
-// instead of silently missing rows.
+// carries the curve to 500).  Every scaling-size cutting solve must finish
+// without the stable-master stall downgrade (SsbSolution::stable_stalls);
+// the `cutting_stall_free` summary field records it.  The `direct` solver
+// likewise gets explicit "skipped" records above 12 nodes instead of
+// silently missing rows.
 //
 // Machine-readable results are written to BENCH_lp.json in the working
 // directory: one record per nodes x solver (wall-clock ms, simplex
@@ -209,7 +205,8 @@ int main() {
   std::cout << "\ncutting-plane and column-generation scaling "
             << "(reach = avg fraction of elimination steps visited per solve):\n";
   TablePrinter scale({"nodes", "arcs", "TP cutting", "TP colgen", "rel.diff", "cutting_ms",
-                      "colgen_ms", "cut reach f/b", "cg reach f/b"});
+                      "colgen_ms", "cut reach f/b", "cg reach f/b", "stalls"});
+  bool cutting_stall_free = true;
   const std::vector<std::size_t> scaling_sizes =
       sizes_from_env("BT_LP_SIZES", {20, 30, 50, 80, 120});
   for (std::size_t n : scaling_sizes) {
@@ -223,6 +220,8 @@ int main() {
         timed_ms(reps, [&] { cutting = solve_ssb_cutting_plane(p, cutting_default); });
     records.push_back(record(n, "cutting_plane", cutting_ms, cutting.lp_iterations));
     records.back().attach_stats(cutting.lp_stats);
+    cutting_stall_free = cutting_stall_free && cutting.stable_stalls == 0;
+    const std::string stalls = std::to_string(cutting.stable_stalls);
     const std::string cut_reach = TablePrinter::fmt(cutting.lp_stats.ftran_reach_fraction(), 2) +
                                   "/" + TablePrinter::fmt(cutting.lp_stats.btran_reach_fraction(), 2);
 
@@ -231,7 +230,7 @@ int main() {
           n, "colgen", "degenerate packing-master tailing beyond 150 nodes; see ROADMAP"));
       scale.add_row({std::to_string(n), std::to_string(p.num_edges()),
                      TablePrinter::fmt(cutting.throughput, 4), "skipped", "-",
-                     TablePrinter::fmt(cutting_ms, 1), "-", cut_reach, "-"});
+                     TablePrinter::fmt(cutting_ms, 1), "-", cut_reach, "-", stalls});
       continue;
     }
     SsbPackingSolution colgen;
@@ -247,7 +246,8 @@ int main() {
                    TablePrinter::fmt(colgen.throughput, 4), TablePrinter::fmt(diff, 8),
                    TablePrinter::fmt(cutting_ms, 1), TablePrinter::fmt(colgen_ms, 1), cut_reach,
                    TablePrinter::fmt(colgen.lp_stats.ftran_reach_fraction(), 2) + "/" +
-                       TablePrinter::fmt(colgen.lp_stats.btran_reach_fraction(), 2)});
+                       TablePrinter::fmt(colgen.lp_stats.btran_reach_fraction(), 2),
+                   stalls});
 
     if (n == 80) {
       summary.push_back({"cutting_ftran_reach_fraction_n80",
@@ -259,75 +259,7 @@ int main() {
     }
   }
   scale.render(std::cout);
-
-  // Cutting-plane master ablation: incremental (standing IncrementalSimplex,
-  // append_row + reoptimize_dual) vs rebuild (cold solve from the slack
-  // basis every round).  Separation and the final polish are identical
-  // deterministic work on both sides, so the end-to-end speedup understates
-  // the master speedup -- both are reported.
-  std::cout << "\ncutting-plane master: incremental (dual simplex + FT) vs rebuild:\n";
-  TablePrinter cp({"nodes", "rebuild_ms", "incr_ms", "speedup", "master speedup",
-                   "rounds", "TP bitwise=="});
-  double cutting_speedup_n80 = 0.0;
-  double cutting_master_speedup_n80 = 0.0;
-  bool cutting_bitwise = true;
-  for (std::size_t n : {20, 30, 50, 80, 120}) {
-    const Platform p = instance(n, 104729);
-    const std::size_t reps = n <= 50 ? 5 : 2;
-
-    SsbCuttingPlaneOptions incremental;
-    SsbCuttingPlaneOptions rebuild;
-    rebuild.incremental_master = false;
-    // Interleave the two configurations and keep each one's best run, so
-    // scheduler/thermal noise on shared machines hits both sides alike.
-    // One untimed warm-up per configuration first (page faults, caches).
-    (void)solve_ssb_cutting_plane(p, incremental);
-    (void)solve_ssb_cutting_plane(p, rebuild);
-    SsbSolution inc_solution, reb_solution;
-    double inc_ms = std::numeric_limits<double>::infinity();
-    double reb_ms = std::numeric_limits<double>::infinity();
-    double inc_master_ms = std::numeric_limits<double>::infinity();
-    double reb_master_ms = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < reps; ++r) {
-      {
-        Timer t;
-        inc_solution = solve_ssb_cutting_plane(p, incremental);
-        inc_ms = std::min(inc_ms, t.millis());
-        inc_master_ms = std::min(inc_master_ms, inc_solution.master_wall_ms);
-      }
-      {
-        Timer t;
-        reb_solution = solve_ssb_cutting_plane(p, rebuild);
-        reb_ms = std::min(reb_ms, t.millis());
-        reb_master_ms = std::min(reb_master_ms, reb_solution.master_wall_ms);
-      }
-    }
-
-    records.push_back(record(n, "cutting_incremental", inc_ms, inc_solution.lp_iterations));
-    records.push_back(record(n, "cutting_rebuild", reb_ms, reb_solution.lp_iterations));
-    // Master-only wall clock (separation and polish excluded); no
-    // master-specific iteration counter exists, so record 0 rather than a
-    // misleading end-to-end count.
-    records.push_back(record(n, "cutting_incremental_master", inc_master_ms, 0));
-    records.push_back(record(n, "cutting_rebuild_master", reb_master_ms, 0));
-
-    const bool bitwise = inc_solution.throughput == reb_solution.throughput;
-    cutting_bitwise = cutting_bitwise && bitwise;
-    const double speedup = reb_ms / inc_ms;
-    const double master_speedup = reb_master_ms / inc_master_ms;
-    if (n == 80) {
-      cutting_speedup_n80 = speedup;
-      cutting_master_speedup_n80 = master_speedup;
-    }
-    cp.add_row({std::to_string(n), TablePrinter::fmt(reb_ms, 2), TablePrinter::fmt(inc_ms, 2),
-                TablePrinter::fmt(speedup, 2), TablePrinter::fmt(master_speedup, 2),
-                std::to_string(inc_solution.separation_rounds), bitwise ? "yes" : "NO"});
-  }
-  cp.render(std::cout);
-
-  summary.push_back({"cutting_speedup_incremental_n80", num(cutting_speedup_n80)});
-  summary.push_back({"cutting_master_speedup_incremental_n80", num(cutting_master_speedup_n80)});
-  summary.push_back({"cutting_bitwise_agree", cutting_bitwise ? "true" : "false"});
+  summary.push_back({"cutting_stall_free", cutting_stall_free ? "true" : "false"});
 
   // In-solver oracle scaling: the same instance with the parallel phases
   // (per-destination max-flow separation, pricing/column rebuild) on a
@@ -424,8 +356,7 @@ int main() {
 
   write_json(records, summary);
   std::cout << "\nwrote BENCH_lp.json (" << records.size() << " records, "
-            << "cutting-plane n=80 master speedup incremental-vs-rebuild: "
-            << TablePrinter::fmt(cutting_master_speedup_n80, 2) << "x)\n";
+            << "cutting-plane stall-free: " << (cutting_stall_free ? "yes" : "NO") << ")\n";
 
   std::cout << "\nexpected: all solvers agree (rel.diff ~ 0); column generation\n"
                "also returns the explicit multi-tree schedule, the step the paper\n"

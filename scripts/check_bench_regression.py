@@ -7,12 +7,11 @@ runners are noisy, so only *large* regressions fail the bench-smoke job.
 The archive kind is dispatched on its "bench" field.
 
 BENCH_lp.json (bench "lp_solvers"):
-  * the cutting-plane incremental-vs-rebuild master speedups must not fall
-    below `SPEEDUP_FLOOR_FACTOR` times the baseline value;
   * reach-fraction fields must not grow above `REACH_CEILING_FACTOR` times
     the baseline (a jump there means hypersparse solves stopped engaging);
-  * `cutting_bitwise_agree` and `insolver_bitwise_agree` must stay true
-    (correctness, no tolerance).
+  * `cutting_stall_free` must stay true (no scaling-size cutting-plane
+    solve, up to 500 nodes in CI, took the stable-master stall downgrade);
+  * `insolver_bitwise_agree` must stay true (correctness, no tolerance).
 
 BENCH_service.json (bench "service"):
   * `service_warm_over_cold_speedup` and `service_queries_per_sec` are
@@ -54,10 +53,6 @@ REACH_CEILING_FACTOR = 2.0     # fail when a reach fraction doubles
 REACH_ABS_SLACK = 0.10         # ... with this much absolute headroom on top
 LATENCY_CEILING_FACTOR = 3.0   # fail when a latency triples
 
-LP_SPEEDUP_FIELDS = [
-    "cutting_master_speedup_incremental_n80",
-    "cutting_speedup_incremental_n80",
-]
 LP_REACH_FIELDS = [
     "cutting_ftran_reach_fraction_n80",
     "cutting_btran_reach_fraction_n80",
@@ -170,13 +165,11 @@ class Checker:
 
 
 def check_lp(checker):
-    for field in LP_SPEEDUP_FIELDS:
-        checker.floor(field, SPEEDUP_FLOOR_FACTOR)
     for field in LP_REACH_FIELDS:
         checker.ceiling(field, REACH_CEILING_FACTOR, REACH_ABS_SLACK)
     for field in LP_RECORD_ONLY_FIELDS:
         checker.record_only(field)
-    checker.must_be_true("cutting_bitwise_agree")
+    checker.must_be_true("cutting_stall_free")
     checker.must_be_true("insolver_bitwise_agree")
 
 

@@ -854,11 +854,4 @@ bool BasisLu::forrest_tomlin_update(std::uint32_t leave_pos, const ScatteredVect
   return true;
 }
 
-std::size_t BasisLu::factor_nonzeros() const {
-  std::size_t nnz = m_;  // U diagonal
-  for (std::size_t k = 0; k < m_; ++k) nnz += lrows_[k].size() + ucols_[k].size();
-  for (const RowEta& e : ft_etas_) nnz += e.src.size();
-  return nnz;
-}
-
 }  // namespace bt

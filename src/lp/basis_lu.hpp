@@ -123,10 +123,6 @@ class BasisLu {
   std::size_t update_count() const { return updates_; }
   std::size_t dimension() const { return m_; }
 
-  /// Total nonzeros in L + U of the current factors plus the row-eta file
-  /// (diagnostic; updates grow it only by the eliminated row stubs).
-  std::size_t factor_nonzeros() const;
-
  private:
   /// Forrest-Tomlin row eta: the row operations that eliminated the leaving
   /// row, i.e. z[step] -= sum_i mult[i] * z[src[i]] applied between the L

@@ -126,10 +126,6 @@ class SparseSimplexCore {
     return s;
   }
 
-  /// Basis-label extraction only serves cross-solve warm starts; a standing
-  /// IncrementalSimplex keeps its basis in place and can skip it.
-  void set_emit_basis_labels(bool emit) { emit_basis_labels_ = emit; }
-
   /// Sum `terms` into the rhs_work_ scratch (dimension `size`, indices
   /// bound-checked).  The nonzero list may carry duplicates when a
   /// coefficient passes through exactly zero mid-accumulation; consumers
@@ -326,25 +322,6 @@ class SparseSimplexCore {
       if (maximize_) v = -v;
       solution.duals[row_origin_[i]] = v;
     }
-
-    // Basis labels for warm starts (only when every basic variable has a
-    // stable label and no rows were dropped).
-    if (emit_basis_labels_ && num_rows_ == num_orig_rows_) {
-      solution.basis.resize(num_rows_);
-      bool labelable = true;
-      for (std::size_t r = 0; r < num_rows_ && labelable; ++r) {
-        const std::size_t j = basis_[r];
-        if (kind_[j] == ColKind::kStructural) {
-          solution.basis[r] = structural_id_[j];
-        } else if (kind_[j] == ColKind::kSlack) {
-          const std::size_t row = cols_.col_rows(j)[0];
-          solution.basis[r] = kSlackLabelBase - row;
-        } else {
-          labelable = false;  // surplus or artificial stuck in the basis
-        }
-      }
-      if (!labelable) solution.basis.clear();
-    }
   }
 
   // ---------- model construction ----------
@@ -438,51 +415,7 @@ class SparseSimplexCore {
 
     rebuild_row_entries();
 
-    // try_warm_start() leaves an accepted warm basis already factorized;
-    // only the slack basis (or a rejected warm start) still needs one.
-    if (num_artificials_ > 0 || !try_warm_start()) {
-      BT_ASSERT(try_refactor(), "simplex: singular basis during refactor [build]");
-    }
-  }
-
-  /// Replace the default slack basis with the caller-provided labels when
-  /// they decode to a primal-feasible basis of this problem.  Returns true
-  /// when the warm basis was adopted (and is then already factorized).
-  bool try_warm_start() {
-    const std::vector<std::size_t>* warm = options_.warm_basis;
-    if (warm == nullptr || warm->size() != num_rows_) return false;
-    std::vector<std::size_t> candidate(num_rows_);
-    std::vector<char> used(cols_.num_cols(), 0);
-    for (std::size_t r = 0; r < num_rows_; ++r) {
-      std::size_t col;
-      const std::size_t label = (*warm)[r];
-      if (label < num_structural_) {
-        col = label;  // structural columns come first at build time
-      } else if (kSlackLabelBase - label < num_rows_) {
-        col = slack_col_of_row_[kSlackLabelBase - label];
-        if (col == kNpos) return false;  // row has no slack
-      } else {
-        return false;  // undecodable label
-      }
-      if (used[col]) return false;  // duplicate basic variable
-      used[col] = 1;
-      candidate[r] = col;
-    }
-    const std::vector<std::size_t> saved = basis_;
-    basis_ = candidate;
-    try {
-      refactor();
-    } catch (const Error&) {
-      basis_ = saved;  // singular warm basis: fall back to the slack basis
-      return false;
-    }
-    for (double v : xb_) {
-      if (v < -1e-7) {  // warm basis not primal feasible here
-        basis_ = saved;
-        return false;
-      }
-    }
-    return true;
+    BT_ASSERT(try_refactor(), "simplex: singular basis during refactor [build]");
   }
 
   std::size_t add_unit_column(std::size_t row, double value, ColKind kind) {
@@ -1367,7 +1300,6 @@ class SparseSimplexCore {
   bool maximize_ = false;
   bool phase1_done_ = false;
   bool rows_dropped_ = false;
-  bool emit_basis_labels_ = true;
 
   std::size_t num_structural_ = 0;
   std::size_t num_rows_ = 0;
@@ -1460,16 +1392,13 @@ LpSolution solve_lp(const LpProblem& problem, const SimplexOptions& options) {
     return solution;
   }
   detail::SparseSimplexCore core(problem, options);
-  const LpSolution solution = core.solve();
-  if (options.stats != nullptr) options.stats->accumulate(core.engine_stats());
-  return solution;
+  return core.solve();
 }
 
 IncrementalSimplex::IncrementalSimplex(const LpProblem& problem, const SimplexOptions& options) {
   BT_REQUIRE(problem.num_variables() > 0, "IncrementalSimplex: no variables");
   BT_REQUIRE(problem.num_constraints() > 0, "IncrementalSimplex: no constraints");
   core_ = std::make_unique<detail::SparseSimplexCore>(problem, options);
-  core_->set_emit_basis_labels(false);
 }
 
 IncrementalSimplex::~IncrementalSimplex() = default;

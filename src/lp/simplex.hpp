@@ -65,11 +65,6 @@ struct SimplexOptions {
   /// Refactorize the basis from scratch every this many pivots (between
   /// refactorizations the Forrest-Tomlin update keeps the factors in place).
   std::size_t refactor_period = 64;
-  /// Optional warm-start basis (labels from a previous LpSolution::basis on
-  /// a problem with the same rows; extra columns may have been added since).
-  /// Honored only when the labeled basis is primal feasible and the problem
-  /// needs no artificials; silently ignored otherwise.
-  const std::vector<std::size_t>* warm_basis = nullptr;
   /// Pricing rules.  The Devex / steepest-edge weight
   /// maintenance rides the hypersparse kernels (one extra unit BTRAN per
   /// primal pivot, one extra FTRAN per dual steepest-edge pivot) and resets
@@ -79,13 +74,7 @@ struct SimplexOptions {
   /// Collect per-call FTRAN/BTRAN wall-clock into the engine stats (the
   /// structural reach counters are always collected).
   bool collect_kernel_timing = false;
-  /// When set, solve_lp() accumulates the solve's LpEngineStats here.
-  LpEngineStats* stats = nullptr;
 };
-
-/// Basis label encoding for warm starts: structural variable j is labeled j;
-/// the slack of row i is labeled kSlackLabelBase - i.
-inline constexpr std::size_t kSlackLabelBase = static_cast<std::size_t>(-2);
 
 struct LpSolution {
   LpStatus status = LpStatus::kInfeasible;
@@ -96,9 +85,6 @@ struct LpSolution {
   /// Dual values (one per constraint row); sign convention: for a maximize
   /// problem duals of binding <= rows are >= 0.
   std::vector<double> duals;
-  /// Basis labels (one per row) for warm-starting a related problem; empty
-  /// when a row's basic variable has no stable label (e.g. an artificial).
-  std::vector<std::size_t> basis;
   std::size_t iterations = 0;
 };
 

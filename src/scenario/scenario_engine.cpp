@@ -46,11 +46,6 @@ ChurnScenarioResult run_churn_scenario(const Platform& platform,
   ScheduleSubscription sub;
   sub.source = source;
 
-  // Offline reference sessions run the batch path (cold_polish on): their
-  // TP* is the bitwise-reproducible cold number at every pool width.
-  PlannerSessionOptions offline_options = opts.service.session;
-  offline_options.cold_polish = true;
-
   // The engine's mirror of the service's live topology: the replayer
   // executes against this, not against the planning view.
   Platform live = platform;
@@ -74,7 +69,7 @@ ChurnScenarioResult run_churn_scenario(const Platform& platform,
     replay.install(live, installed, /*warm_handoff=*/true);
   }
 
-  double offline_tp = offline_reference(live, removed, source, offline_options);
+  double offline_tp = offline_reference(live, removed, source, opts.service.session);
 
   std::size_t next_event = 0;
   for (std::size_t p = 0; p < options.timeline.num_periods; ++p) {
@@ -185,7 +180,7 @@ ChurnScenarioResult run_churn_scenario(const Platform& platform,
       }
     }
     if (events_applied > 0) {
-      offline_tp = offline_reference(live, removed, source, offline_options);
+      offline_tp = offline_reference(live, removed, source, opts.service.session);
     }
 
     // 3. Execute one period of the installed schedule on the live platform.

@@ -294,10 +294,10 @@ TreeDecomposition decompose_edge_load(const Platform& platform, const SsbSolutio
       }
     }
 
-    // Final cold polish (the cutting-plane master's pattern): a long
-    // incrementally-updated run can hand back a primal with ~1e-5 row
-    // drift on this degenerate master; one cold solve over the converged
-    // column pool restores a cleanly feasible basic solution.
+    // Final cold polish: a long incrementally-updated run can hand back a
+    // primal with ~1e-5 row drift on this degenerate master; one cold solve
+    // over the converged column pool restores a cleanly feasible basic
+    // solution.
     {
       LpProblem polish(Objective::kMaximize);
       for (std::size_t j = 0; j < columns.size(); ++j) {

@@ -19,10 +19,9 @@
 //  * One warm PlannerSession per requested source, LRU-bounded
 //    (Options::max_sessions): each session keeps its standing cutting-plane
 //    masters and pools, so repeated queries and post-mutation re-plans ride
-//    the incremental machinery instead of cold solves.  Sessions default to
-//    cold_polish = false -- the service trades the batch path's bitwise
-//    pool-determinism for warm-re-plan latency; agreement with a cold solve
-//    stays within 1e-9 relative (see planner_session.hpp).
+//    the incremental machinery instead of cold solves.  A session's first
+//    solve is the batch solve, bitwise; a warm re-plan agrees with a cold
+//    solve within 1e-9 relative (see planner_session.hpp).
 //  * LRU caches of plans and synthesized schedules keyed by (source,
 //    service version), so steady-state read traffic doesn't even touch the
 //    sessions.
@@ -79,8 +78,7 @@
 namespace bt {
 
 struct PlannerServiceOptions {
-  /// Per-source session configuration.  The constructor default turns cold
-  /// polish off (warm re-plans stay on the standing masters).
+  /// Per-source session configuration.
   PlannerSessionOptions session;
   /// Warm sessions kept alive at once (LRU-evicted beyond this).
   std::size_t max_sessions = 8;
@@ -103,8 +101,6 @@ struct PlannerServiceOptions {
   /// When set, armed (thread-locally) around every service-run solve; see
   /// util/fault_injection.hpp.  Not owned.
   FaultInjector* faults = nullptr;
-
-  PlannerServiceOptions() { session.cold_polish = false; }
 };
 
 /// Service counters (monotonic since construction).

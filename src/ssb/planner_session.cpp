@@ -106,17 +106,13 @@ double PlannerSession::stabilization_weight(EdgeId e) const {
 /// Master tolerance: tighter than the solver default so the tie-broken
 /// stabilization weights resolve alternative optima (vertex gaps are
 /// ~T_e * kWeightTieBreak / m, orders of magnitude above this).  Pricing
-/// is the cutting-plane constant, kernel timing comes from the options;
-/// `stats` receives the LpEngineStats of cold solve_lp calls and must be
-/// null for the standing masters (they outlive any per-solve stats record;
-/// their lifetime stats are folded in via engine_stats() instead).
-SimplexOptions PlannerSession::cutting_master_options(LpEngineStats* stats) const {
+/// is the cutting-plane constant, kernel timing comes from the options.
+SimplexOptions PlannerSession::cutting_master_options() const {
   SimplexOptions lp;
   lp.tolerance = 1e-10;
   lp.pricing = kCuttingPricing;
   lp.dual_row_rule = kCuttingDualRowRule;
   lp.collect_kernel_timing = options_.cutting.master_kernel_timing;
-  lp.stats = stats;
   return lp;
 }
 
@@ -126,22 +122,24 @@ SimplexOptions PlannerSession::cutting_master_options(LpEngineStats* stats) cons
 /// handful -- so 100k is >10x headroom; but on the degenerate optimal face
 /// at n >= ~500 the auto cap grows to millions and a stall would grind for
 /// minutes before run_cutting_solve's downgrade path can fire.
-SimplexOptions PlannerSession::stable_master_options(LpEngineStats* stats) const {
-  SimplexOptions lp = cutting_master_options(stats);
+SimplexOptions PlannerSession::stable_master_options() const {
+  SimplexOptions lp = cutting_master_options();
   lp.max_iterations = 100000;
   return lp;
 }
 
-std::vector<LpTerm> PlannerSession::cut_row(const std::vector<EdgeId>& cut, bool standing) const {
-  // TP - sum_{e in C} n_e <= 0: cut rows keep non-negative rhs, so a cold
-  // value-master solve starts from the feasible all-slack basis.  Standing
-  // masters address arcs through var_of_arc_ (replacement columns after
+std::vector<LpTerm> PlannerSession::cut_row(const std::vector<EdgeId>& cut) const {
+  // TP - sum_{e in C} n_e <= 0: cut rows keep non-negative rhs, so a fresh
+  // value master starts from the feasible all-slack basis.  Arcs are
+  // addressed through var_of_arc_ (replacement columns after
   // kill-and-replace deltas); dead arcs keep their pinned-to-zero column in
-  // the row, which leaves the inequality valid.
+  // the row, which leaves the inequality valid.  A master build always
+  // sees the identity mapping: the value build resets it, and the stable
+  // master is only built in the round its value master was (re)built.
   std::vector<LpTerm> row;
   row.reserve(cut.size() + 1);
   row.push_back({tp_var_, 1.0});
-  for (EdgeId e : cut) row.push_back({standing ? var_of_arc_[e] : e, -1.0});
+  for (EdgeId e : cut) row.push_back({var_of_arc_[e], -1.0});
   return row;
 }
 
@@ -151,24 +149,23 @@ const std::vector<EdgeId>* PlannerSession::add_cut(std::vector<EdgeId> cut) {
   return inserted.second ? &*inserted.first : nullptr;
 }
 
-LpProblem PlannerSession::build_cutting_master(bool stable, double tp_floor, bool record) {
+LpProblem PlannerSession::build_cutting_master(bool stable, double tp_floor) {
   const Digraph& g = platform_.graph();
   const std::size_t m = g.num_edges();
   const PortModel model = options_.cutting.port_model;
 
+  // The value master records its layout: the build resets the
+  // kill-and-replace mapping, so the fresh master is identity-mapped again
+  // (removed arcs stay dead -- their pin rows are part of the build).  The
+  // stable master's rows sit one past it (TP-floor row 0).
+  const bool record = !stable;
   if (record) {
-    // A recorded build resets the kill-and-replace mapping: the fresh
-    // master is identity-mapped again (removed arcs stay dead -- their
-    // pin rows are part of the build).  Only the value master records;
-    // the stable master's rows sit one past it (TP-floor row 0).
-    BT_ASSERT(!stable, "PlannerSession: only the value master records its layout");
     var_of_arc_.resize(m);
     var_alive_.resize(m);
     for (EdgeId e = 0; e < m; ++e) {
       var_of_arc_[e] = e;
       var_alive_[e] = removed_[e] ? 0 : 1;
     }
-    mapping_identity_ = true;
     out_row_.assign(g.num_nodes(), kNoRow);
     in_row_.assign(g.num_nodes(), kNoRow);
     master_cuts_.clear();
@@ -230,7 +227,7 @@ LpProblem PlannerSession::build_cutting_master(bool stable, double tp_floor, boo
     }
   }
   for (const auto& cut : cut_pool_) {
-    lp.add_constraint(cut_row(cut, /*standing=*/false), RowSense::kLessEqual, 0.0);
+    lp.add_constraint(cut_row(cut), RowSense::kLessEqual, 0.0);
     if (record) master_cuts_.push_back({&cut, row});
     ++row;
   }
@@ -248,14 +245,12 @@ void PlannerSession::reset_cutting_state() {
   cut_pool_.clear();
   value_master_.reset();
   stable_master_.reset();
-  value_cold_ = stable_cold_ = true;
   var_of_arc_.resize(m);
   var_alive_.resize(m);
   for (EdgeId e = 0; e < m; ++e) {
     var_of_arc_[e] = e;
     var_alive_[e] = removed_[e] ? 0 : 1;
   }
-  mapping_identity_ = true;
   tp_var_ = m;
   out_row_.assign(g.num_nodes(), kNoRow);
   in_row_.assign(g.num_nodes(), kNoRow);
@@ -279,26 +274,14 @@ void PlannerSession::run_cutting_solve() {
   const std::size_t p = g.num_nodes();
   const std::size_t m = g.num_edges();
   const SsbCuttingPlaneOptions& options = options_.cutting;
-  const bool stabilized = options.load_penalty > 0.0;
-  // Degeneracy at scale (the 1000-node-ceiling item in ROADMAP.md): from a
-  // few hundred nodes up the *cold* re-derivation solves can stall through
-  // their whole pivot budget on the tie-broken optimal face.  Two sticky
-  // downgrades keep the solve finite, each paid at most once per solve:
-  //
-  //  * A cold *polish* solve (value or stable) that exhausts its cap while
-  //    standing masters exist flips the remaining polish rounds to the warm
-  //    path (cold_polish_stalls) -- stabilization is kept, only the
-  //    pool-determined-bitwise property of cold_polish is lost for that
-  //    instance.
-  //  * A cold *stable* solve that stalls with no warm fallback (the
-  //    standing stable master's first factorization, or the rebuild
-  //    ablation) drops stabilization and reports the value master's loads
-  //    (stable_stalls).
-  //
-  // Each stall is a pure function of the pool content, so every pool width
-  // downgrades at the same round and width-determinism is preserved.
-  bool stabilize_active = stabilized;
-  bool polish_cold_stalled = false;
+  // Degeneracy at scale (the 1000-node-ceiling item in ROADMAP.md): on the
+  // tie-broken optimal face a freshly built stable master can stall
+  // through its whole pivot budget.  One sticky downgrade keeps the solve
+  // finite, paid at most once per solve: the solve drops stabilization and
+  // reports the value master's loads (stable_stalls).  Pivot counts are
+  // width-invariant, so every pool width downgrades at the same round and
+  // width-determinism is preserved.
+  bool stabilize_active = true;
 
   SsbSolution solution;
 
@@ -379,15 +362,10 @@ void PlannerSession::run_cutting_solve() {
   double master_tp = 0.0;
   double min_flow = 0.0;
 
-  // One separation round: value solve -> TP_b, stable solve -> loads,
-  // max-flow separation at tolerance `tol`.  `warm` selects the standing
-  // incremental masters; the cold path rebuilds both LPs from the pool, so
-  // its result is a pure function of the pool content.  `count_master`
-  // accumulates the LP time into master_wall_ms -- the polish rounds are
-  // excluded there, since they are identical work on both ablation paths
-  // and would dilute the incremental-vs-rebuild master metric.
+  // One separation round on the standing masters: value solve -> TP_b,
+  // stable solve -> loads, max-flow separation at tolerance `tol`.
   // Returns true when converged (no new cut and the certificate holds).
-  auto round = [&](bool warm, double tol, bool count_master) {
+  auto round = [&](double tol) {
     // Deadline ladder: between rounds is the only safe abort point (the
     // masters are consistent), and pivot counts are width-invariant, so a
     // pivot-budget abort fires at the same round on every pool width.
@@ -395,50 +373,25 @@ void PlannerSession::run_cutting_solve() {
     ++solution.separation_rounds;
     Timer master_timer;
 
-    LpSolution value_sol;
-    if (warm) {
-      if (value_master_ == nullptr) {
-        value_master_ = std::make_unique<IncrementalSimplex>(
-            build_cutting_master(false, 0.0, /*record=*/true),
-            cutting_master_options(nullptr));
-        value_cold_ = true;
-        // The stable master must share the (re-)recorded row layout; force
-        // its rebuild from the same pool later this round.
-        stable_master_.reset();
-        stable_cold_ = true;
-      }
-      value_sol = value_cold_ ? value_master_->solve() : value_master_->reoptimize_dual();
-      value_cold_ = false;
-      if (value_sol.status != LpStatus::kOptimal) {
-        // Numerical breakdown of the standing master (drifted basis the
-        // engine could not repair): the pool fully determines the model,
-        // so rebuild it cold and continue incrementally from there.  Fold
-        // the replaced instance's lifetime stats in first.
-        solution.lp_stats.accumulate(value_master_->engine_stats());
-        ++stats_.master_rebuilds;
-        value_master_ = std::make_unique<IncrementalSimplex>(
-            build_cutting_master(false, 0.0, /*record=*/true),
-            cutting_master_options(nullptr));
-        stable_master_.reset();
-        stable_cold_ = true;
-        value_sol = value_master_->solve();
-      }
-    } else {
-      SimplexOptions cold_options = cutting_master_options(&solution.lp_stats);
-      // Polish re-derivations get a flat pivot cap well above any
-      // non-degenerate cold polish solve seen in the sweeps, so a
-      // degenerate stall escapes to the warm fallback in bounded time
-      // instead of grinding through the auto cap (~60*(rows+cols)).
-      if (!count_master) cold_options.max_iterations = 250000;
-      value_sol = solve_lp(build_cutting_master(false, 0.0, /*record=*/false), cold_options);
-      if (!count_master && value_sol.status == LpStatus::kIterationLimit &&
-          value_master_ != nullptr) {
-        solution.lp_iterations += value_sol.iterations;
-        ++solution.cold_polish_stalls;
-        ++stats_.cold_polish_stalls;
-        polish_cold_stalled = true;
-        return false;
-      }
+    if (value_master_ == nullptr) {
+      value_master_ = std::make_unique<IncrementalSimplex>(build_cutting_master(false, 0.0),
+                                                           cutting_master_options());
+      // The stable master must share the (re-)recorded row layout; force
+      // its rebuild from the same pool later this round.
+      stable_master_.reset();
+    }
+    LpSolution value_sol = value_master_->solve();
+    if (value_sol.status != LpStatus::kOptimal) {
+      // Numerical breakdown of the standing master (drifted basis the
+      // engine could not repair): the pool fully determines the model, so
+      // rebuild it and continue incrementally from there.  Fold the
+      // replaced instance's lifetime stats in first.
+      solution.lp_stats.accumulate(value_master_->engine_stats());
+      ++stats_.master_rebuilds;
+      value_master_ = std::make_unique<IncrementalSimplex>(build_cutting_master(false, 0.0),
+                                                           cutting_master_options());
+      stable_master_.reset();
+      value_sol = value_master_->solve();
     }
     BT_REQUIRE(value_sol.status == LpStatus::kOptimal,
                "solve_ssb_cutting_plane: value master " + to_string(value_sol.status));
@@ -450,57 +403,34 @@ void PlannerSession::run_cutting_solve() {
     const LpSolution* load_sol = &value_sol;
     LpSolution stable_sol;
     if (stabilize_active) {
-      bool was_cold = !warm;
-      if (warm) {
-        if (stable_master_ == nullptr) {
-          stable_master_ = std::make_unique<IncrementalSimplex>(
-              build_cutting_master(true, tp_floor, /*record=*/false),
-              stable_master_options(nullptr));
-          stable_cold_ = true;
-        } else {
-          stable_master_->set_row_rhs(0, tp_floor);
-        }
-        was_cold = stable_cold_;
-        stable_sol = stable_cold_ ? stable_master_->solve() : stable_master_->reoptimize_dual();
-        stable_cold_ = false;
-        if (stable_sol.status != LpStatus::kOptimal && !was_cold) {
-          // Numerical breakdown: rebuild BOTH standing masters from the
-          // pool.  The stable master's rows must stay one past the value
-          // master's for the kill-and-replace deltas, and the value master
-          // may carry append-order cut rows a pool rebuild would not
-          // reproduce -- so the pair is rebuilt together (stats folded in
-          // first; the value master re-solves cold next round).
-          solution.lp_stats.accumulate(stable_master_->engine_stats());
-          solution.lp_stats.accumulate(value_master_->engine_stats());
-          ++stats_.master_rebuilds;
-          value_master_ = std::make_unique<IncrementalSimplex>(
-              build_cutting_master(false, 0.0, /*record=*/true),
-              cutting_master_options(nullptr));
-          value_cold_ = true;
-          stable_master_ = std::make_unique<IncrementalSimplex>(
-              build_cutting_master(true, tp_floor, /*record=*/false),
-              stable_master_options(nullptr));
-          stable_sol = stable_master_->solve();
-          stable_cold_ = false;
-          was_cold = true;
-        }
+      bool fresh = stable_master_ == nullptr;
+      if (fresh) {
+        stable_master_ = std::make_unique<IncrementalSimplex>(build_cutting_master(true, tp_floor),
+                                                              stable_master_options());
       } else {
-        stable_sol = solve_lp(build_cutting_master(true, tp_floor, /*record=*/false),
-                              stable_master_options(&solution.lp_stats));
+        stable_master_->set_row_rhs(0, tp_floor);
+      }
+      stable_sol = stable_master_->solve();
+      if (stable_sol.status != LpStatus::kOptimal && !fresh) {
+        // Numerical breakdown: rebuild BOTH standing masters from the
+        // pool.  The stable master's rows must stay one past the value
+        // master's for the kill-and-replace deltas, and the value master
+        // may carry append-order cut rows a pool rebuild would not
+        // reproduce -- so the pair is rebuilt together (stats folded in
+        // first; the value master re-solves from scratch next round).
+        solution.lp_stats.accumulate(stable_master_->engine_stats());
+        solution.lp_stats.accumulate(value_master_->engine_stats());
+        ++stats_.master_rebuilds;
+        value_master_ = std::make_unique<IncrementalSimplex>(build_cutting_master(false, 0.0),
+                                                             cutting_master_options());
+        stable_master_ = std::make_unique<IncrementalSimplex>(build_cutting_master(true, tp_floor),
+                                                              stable_master_options());
+        stable_sol = stable_master_->solve();
+        fresh = true;
       }
       solution.lp_iterations += stable_sol.iterations;
-      if (stable_sol.status == LpStatus::kIterationLimit && was_cold) {
-        if (!warm && !count_master && value_master_ != nullptr) {
-          // Degenerate stall of a cold polish re-derivation, but the
-          // standing masters are available: flip the remaining polish to
-          // the warm path (this round is redone there) and keep the
-          // stabilization stage.
-          ++solution.cold_polish_stalls;
-          ++stats_.cold_polish_stalls;
-          polish_cold_stalled = true;
-          return false;
-        }
-        // Degenerate stall with no warm fallback: a cold solve exhausted
+      if (stable_sol.status == LpStatus::kIterationLimit && fresh) {
+        // Degenerate stall of a freshly built stable master: it exhausted
         // its pivot budget, so a rebuild cannot help.  Downgrade to the
         // value loads (load_sol already points there) and run the rest of
         // this solve unstabilized; the polish keeps the caller's tolerance
@@ -508,11 +438,8 @@ void PlannerSession::run_cutting_solve() {
         ++solution.stable_stalls;
         ++stats_.stable_stalls;
         stabilize_active = false;
-        if (stable_master_ != nullptr) {
-          solution.lp_stats.accumulate(stable_master_->engine_stats());
-          stable_master_.reset();
-          stable_cold_ = true;
-        }
+        solution.lp_stats.accumulate(stable_master_->engine_stats());
+        stable_master_.reset();
       } else {
         BT_REQUIRE(stable_sol.status == LpStatus::kOptimal,
                    "solve_ssb_cutting_plane: stable master " + to_string(stable_sol.status));
@@ -520,27 +447,17 @@ void PlannerSession::run_cutting_solve() {
       }
     }
     for (EdgeId e = 0; e < m; ++e) {
-      if (warm) {
-        load[e] = var_alive_[e] ? std::max(0.0, load_sol->x[var_of_arc_[e]]) : 0.0;
-      } else {
-        load[e] = removed_[e] ? 0.0 : std::max(0.0, load_sol->x[e]);
-      }
+      load[e] = var_alive_[e] ? std::max(0.0, load_sol->x[var_of_arc_[e]]) : 0.0;
     }
-    if (count_master) solution.master_wall_ms += master_timer.millis();
+    solution.master_wall_ms += master_timer.millis();
 
     const bool added = separate(load, master_tp, tol, min_flow);
-    // New cuts go to the standing masters whenever they exist -- including
-    // cold polish rounds, so a session's masters stay pool-complete for the
-    // next warm re-plan (a batch solve never re-uses them, so this is
-    // invisible there).
-    if (value_master_ != nullptr && !new_cuts.empty()) {
-      for (const std::vector<EdgeId>* cut : new_cuts) {
-        const std::size_t value_row =
-            value_master_->append_row(cut_row(*cut, /*standing=*/true), RowSense::kLessEqual, 0.0);
-        master_cuts_.push_back({cut, value_row});
-        if (stable_master_ != nullptr) {
-          stable_master_->append_row(cut_row(*cut, /*standing=*/true), RowSense::kLessEqual, 0.0);
-        }
+    for (const std::vector<EdgeId>* cut : new_cuts) {
+      const std::size_t value_row =
+          value_master_->append_row(cut_row(*cut), RowSense::kLessEqual, 0.0);
+      master_cuts_.push_back({cut, value_row});
+      if (stable_master_ != nullptr) {
+        stable_master_->append_row(cut_row(*cut), RowSense::kLessEqual, 0.0);
       }
     }
     // Converged exactly when no *new* cut exists: every destination whose
@@ -549,14 +466,14 @@ void PlannerSession::run_cutting_solve() {
     // and the bracket [min_flow, master_tp] is as tight as this arithmetic
     // gets.  The exit is purely combinatorial -- comparing min_flow
     // against the tolerance here would make the stopping round flip on
-    // last-ulp load differences between the warm and cold paths.
+    // last-ulp load differences between re-plans of the same platform.
     return !added;
   };
 
   // ---- Separation loop at the caller's tolerance. ----
   bool converged = false;
   for (std::size_t r = 0; r < options.max_rounds && !converged; ++r) {
-    converged = round(options.incremental_master, options.tolerance, /*count_master=*/true);
+    converged = round(options.tolerance);
   }
   BT_REQUIRE(converged,
              "solve_ssb_cutting_plane: separation did not converge within round cap");
@@ -566,29 +483,14 @@ void PlannerSession::run_cutting_solve() {
   BT_REQUIRE(master_tp > 1e-12,
              "PlannerSession: platform cannot broadcast (removals cut the source off)");
 
-  // ---- Polish rounds: tighten the certificate to ~1e-9 relative.  With
-  // cold_polish the value/loads are re-derived with *cold* solves, so the
-  // answer is a pure function of the converged pool (the incremental and
-  // rebuild paths report bitwise-identical throughput once their pools
-  // agree).  Without it (service re-plans) the standing masters polish
-  // warmly at the same tolerance -- not bitwise pool-determined, but the
-  // certificate still brackets TP* within the rounding grain.  A cold
-  // polish solve that stalls through its pivot cap flips the remaining
-  // rounds to the warm path (see the downgrade ladder above).  Without the
-  // stabilization stage (load_penalty = 0, or a stable-master stall
-  // downgraded the solve) the pure master's vertex
-  // ping-pong cannot be expected to close a 3e-10 gap, so the polish keeps
-  // the caller's tolerance there, as the old code did. ----
-  bool polish_warm = !options_.cold_polish && options.incremental_master;
+  // ---- Polish rounds: the standing masters tighten the certificate to
+  // 3e-10 relative before the reported value is rounded below.  Without
+  // the stabilization stage (a stable-master stall downgraded the solve)
+  // the pure master's vertex ping-pong cannot be expected to close a 3e-10
+  // gap, so the polish keeps the caller's tolerance there. ----
   converged = false;
   for (std::size_t r = 0; r < options.max_rounds && !converged; ++r) {
-    const double polish_tol =
-        stabilize_active ? 3e-10 * std::max(1.0, master_tp) : options.tolerance;
-    converged = round(polish_warm, polish_tol, /*count_master=*/false);
-    if (polish_cold_stalled) {
-      polish_cold_stalled = false;
-      polish_warm = true;
-    }
+    converged = round(stabilize_active ? 3e-10 * std::max(1.0, master_tp) : options.tolerance);
   }
   BT_REQUIRE(converged, "solve_ssb_cutting_plane: polish separation did not converge");
 
@@ -598,8 +500,8 @@ void PlannerSession::run_cutting_solve() {
   // floor keeps min_flow an eps_lex below the value optimum).  Report the
   // attainable end of the bracket, rounded to 2^-34 relative (~6e-11):
   // the certificate does not support finer digits, and discarding them
-  // makes the reported value identical across solve strategies -- the
-  // warm (incremental) and cold (rebuild) paths may legitimately pool
+  // lets a warm re-plan report the same value as a fresh solve of the same
+  // platform even though the two may legitimately pool
   // different-but-equivalent min cuts when the optimal face is degenerate,
   // which perturbs the last ulps of the solved value.
   const double raw = std::min(master_tp, min_flow);
@@ -608,10 +510,10 @@ void PlannerSession::run_cutting_solve() {
   solution.throughput = std::round(raw / grain) * grain;
   solution.edge_load = std::move(load);
   solution.cuts_generated = cut_pool_.size();
-  // Cold solve_lp calls accumulated into lp_stats as they ran; fold in the
+  // Replaced masters were folded into lp_stats as they went; fold in the
   // standing masters' lifetime stats (cumulative over the session -- for a
-  // batch wrapper the session lives exactly one solve, so this matches the
-  // historical per-call record).
+  // batch wrapper the session lives exactly one solve, so this is the
+  // per-call record).
   if (value_master_ != nullptr) solution.lp_stats.accumulate(value_master_->engine_stats());
   if (stable_master_ != nullptr) solution.lp_stats.accumulate(stable_master_->engine_stats());
   cutting_solution_ = std::move(solution);
@@ -631,7 +533,6 @@ const SsbSolution& PlannerSession::solve() {
     ++stats_.rollbacks;
     value_master_.reset();
     stable_master_.reset();
-    value_cold_ = stable_cold_ = true;
     throw;
   }
   cutting_dirty_ = false;
@@ -765,9 +666,8 @@ void PlannerSession::kill_arc_column(EdgeId e) {
   if (!var_alive_[e]) return;
   const std::vector<LpTerm> pin = {{var_of_arc_[e], 1.0}};
   value_master_->append_row(pin, RowSense::kLessEqual, 0.0);
-  if (stable_master_ != nullptr) stable_master_->append_row(pin, RowSense::kLessEqual, 0.0);
+  stable_master_->append_row(pin, RowSense::kLessEqual, 0.0);
   var_alive_[e] = 0;
-  mapping_identity_ = false;
   ++stats_.kill_rows;
 }
 
@@ -791,34 +691,27 @@ void PlannerSession::replace_arc_column(EdgeId e) {
     }
   }
   const std::size_t var = value_master_->add_column(0.0, terms);
-  if (stable_master_ != nullptr) {
-    std::vector<LpTerm> stable_terms = terms;
-    for (LpTerm& term : stable_terms) ++term.var;  // rows sit past the TP-floor row
-    const std::size_t stable_var =
-        stable_master_->add_column(-stabilization_weight(e), stable_terms);
-    BT_ASSERT(stable_var == var, "PlannerSession: standing masters lost column sync");
-  }
+  for (LpTerm& term : terms) ++term.var;  // stable rows sit past the TP-floor row
+  const std::size_t stable_var = stable_master_->add_column(-stabilization_weight(e), terms);
+  BT_ASSERT(stable_var == var, "PlannerSession: standing masters lost column sync");
   var_of_arc_[e] = var;
   var_alive_[e] = 1;
-  mapping_identity_ = false;
   ++stats_.replacement_columns;
 }
 
 void PlannerSession::set_link_cost(EdgeId e, LinkCost cost) {
   platform_.set_link_cost(e, cost);  // validates arc id and cost
   removed_[e] = 0;
-  const bool stabilized = options_.cutting.load_penalty > 0.0;
-  if (value_master_ != nullptr && (!stabilized || stable_master_ != nullptr)) {
+  if (value_master_ != nullptr && stable_master_ != nullptr) {
     kill_arc_column(e);
     replace_arc_column(e);
   } else {
     // No consistent standing pair to delta (pre-first-solve, post-rollback,
-    // or incremental_master off): drop them and let the next solve rebuild
-    // from the pool, which link-cost changes leave valid (cut rows are
-    // time-free).
+    // or after a stable-master stall): drop them and let the next solve
+    // rebuild from the pool, which link-cost changes leave valid (cut rows
+    // are time-free).
     value_master_.reset();
     stable_master_.reset();
-    value_cold_ = stable_cold_ = true;
   }
   note_mutation();
 }
@@ -834,13 +727,11 @@ void PlannerSession::remove_link(EdgeId e) {
   BT_REQUIRE(e < platform_.num_edges(), "PlannerSession::remove_link: arc out of range");
   if (removed_[e]) return;  // idempotent
   removed_[e] = 1;
-  const bool stabilized = options_.cutting.load_penalty > 0.0;
-  if (value_master_ != nullptr && (!stabilized || stable_master_ != nullptr)) {
+  if (value_master_ != nullptr && stable_master_ != nullptr) {
     kill_arc_column(e);
   } else {
     value_master_.reset();
     stable_master_.reset();
-    value_cold_ = stable_cold_ = true;
   }
   drop_pool_trees_containing(e);
   note_mutation();
@@ -947,9 +838,7 @@ NodeId PlannerSession::add_node(const std::vector<SessionLink>& in_links,
 }
 
 SsbSolution PlannerSession::solve_cold() const {
-  PlannerSessionOptions options = options_;
-  options.cold_polish = true;
-  PlannerSession fresh(platform_, options);
+  PlannerSession fresh(platform_, options_);
   for (EdgeId e = 0; e < platform_.num_edges(); ++e) {
     if (removed_[e]) fresh.remove_link(e);
   }

@@ -27,8 +27,10 @@
 //    contain the arc); a removed link just kills its column.  Both keep
 //    the standing basis dual feasible, so the next solve() re-converges
 //    with a handful of dual pivots plus a short separation tail instead
-//    of a cold solve.  A differential test pins warm == cold to <= 1e-9
-//    relative throughput.
+//    of a cold solve.  There is one cutting-plane path: a first solve, a
+//    warm re-plan, solve_cold()'s fresh session and the batch facade all
+//    run their separation and polish rounds on these masters.  A
+//    differential test pins warm == cold to <= 1e-9 relative throughput.
 //
 //  * Column generation: the tree-column pool.  Mutations re-seed the
 //    packing master from the pooled trees (minus any tree over a removed
@@ -76,18 +78,6 @@ struct PlannerSessionOptions {
   /// Options of the packing master (solve_packing()); its tree columns
   /// also feed schedule() when fresh.
   SsbColumnGenOptions colgen;
-  /// Re-derive the reported value and loads with *cold* master solves over
-  /// the converged pool, rounding to the certificate's resolution -- the
-  /// batch behavior, which makes the warm and rebuild paths report
-  /// bitwise-identical throughput (see ssb_cutting_plane.hpp).  The
-  /// service turns this off: re-plans then stay entirely on the standing
-  /// masters (the polish rounds tighten the certificate warmly to ~3e-10
-  /// relative before rounding), trading bitwise reproducibility for
-  /// latency while keeping warm-vs-cold agreement well under 1e-9.
-  /// At degenerate scale (n >= ~500) a cold polish solve can stall through
-  /// its pivot budget; the solve then flips its remaining polish to the
-  /// warm path (SsbSolution::cold_polish_stalls) instead of failing.
-  bool cold_polish = true;
 };
 
 /// Session diagnostics: how queries were answered and how mutations were
@@ -104,8 +94,7 @@ struct PlannerSessionStats {
   std::uint64_t replacement_columns = 0;  ///< arc columns re-entered
   std::uint64_t master_rebuilds = 0;  ///< breakdown rebuilds from the pool
   std::uint64_t rollbacks = 0;        ///< failed solves that reset masters
-  std::uint64_t stable_stalls = 0;    ///< lex-polish stalls downgraded to value loads
-  std::uint64_t cold_polish_stalls = 0;  ///< cold polish stalls flipped to warm polish
+  std::uint64_t stable_stalls = 0;    ///< stable-master stalls downgraded to value loads
   std::uint64_t heuristic_plans = 0;  ///< solve_laddered answers from the heuristic rung
   std::uint64_t budget_exhausts = 0;  ///< solves aborted by a ladder deadline
 };
@@ -229,9 +218,9 @@ class PlannerSession {
                   const std::vector<SessionLink>& out_links);
 
   /// Reference cold solve of the *current* (mutated) platform through a
-  /// fresh throwaway session -- what a batch caller would compute from
-  /// scratch.  Differential tests and the service bench compare warm
-  /// re-plans against it.
+  /// fresh throwaway session on the same options -- what a batch caller
+  /// would compute from scratch.  Differential tests and the service bench
+  /// compare warm re-plans against it.
   SsbSolution solve_cold() const;
 
  private:
@@ -249,11 +238,11 @@ class PlannerSession {
 
   // cutting-plane internals
   double stabilization_weight(EdgeId e) const;
-  SimplexOptions cutting_master_options(LpEngineStats* stats) const;
-  SimplexOptions stable_master_options(LpEngineStats* stats) const;
-  std::vector<LpTerm> cut_row(const std::vector<EdgeId>& cut, bool standing) const;
+  SimplexOptions cutting_master_options() const;
+  SimplexOptions stable_master_options() const;
+  std::vector<LpTerm> cut_row(const std::vector<EdgeId>& cut) const;
   const std::vector<EdgeId>* add_cut(std::vector<EdgeId> cut);
-  LpProblem build_cutting_master(bool stable, double tp_floor, bool record);
+  LpProblem build_cutting_master(bool stable, double tp_floor);
   void reset_cutting_state();
   void run_cutting_solve();
   void kill_arc_column(EdgeId e);
@@ -282,13 +271,11 @@ class PlannerSession {
   /// pool's *content*, not on the order cuts were discovered in.
   std::set<std::vector<EdgeId>> cut_pool_;
   std::unique_ptr<IncrementalSimplex> value_master_, stable_master_;
-  bool value_cold_ = true, stable_cold_ = true;
   /// Arc -> live column index in the standing masters (identity until a
   /// kill-and-replace delta retires a column), and whether the arc still
   /// has a live column at all.
   std::vector<std::size_t> var_of_arc_;
   std::vector<char> var_alive_;
-  bool mapping_identity_ = true;
   std::size_t tp_var_ = 0;
   /// Value-master port-row index of each node's out/in port (the stable
   /// master's rows sit at +1 past its TP-floor row).  Under the

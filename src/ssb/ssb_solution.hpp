@@ -83,19 +83,13 @@ struct SsbSolution {
   std::size_t lp_iterations = 0;
   std::size_t separation_rounds = 0;  ///< cutting-plane solver only
   std::size_t cuts_generated = 0;     ///< cutting-plane solver only
-  /// Degenerate-stall escape hatches that keep n >= ~500 platforms
-  /// solvable (cutting-plane solver only; both 0 at the sizes the paper
-  /// reports).  cold_polish_stalls: times a *cold* polish re-derivation
-  /// (value or stable master) stalled through its pivot budget and the
-  /// remaining polish flipped to the warm standing masters -- the result
-  /// is then warm-polished rather than pool-determined-bitwise.
-  /// stable_stalls: times the lexicographic (stable) master stalled cold
-  /// with no warm fallback and the solve downgraded to the value master's
-  /// loads.
-  std::size_t cold_polish_stalls = 0;
+  /// Degenerate-stall escape hatch of the cutting-plane solver (0 at the
+  /// sizes the paper reports): times a freshly built lexicographic
+  /// (stable) master stalled through its pivot budget and the solve
+  /// downgraded to the value master's loads.
   std::size_t stable_stalls = 0;
-  /// Wall-clock spent inside master LP solves (excludes separation /
-  /// pricing oracles), for the incremental-vs-rebuild ablations.
+  /// Wall-clock spent inside master LP solves, every round included
+  /// (excludes separation / pricing oracles).
   double master_wall_ms = 0.0;
   /// Hypersparsity / pricing diagnostics of the master LP engine(s):
   /// FTRAN/BTRAN reach fractions, pivot and refactorization counts, the

@@ -245,89 +245,6 @@ TEST(Simplex, PropertyMatchesBruteForceOn2dPrograms) {
   EXPECT_GT(solved, 100);  // most random programs are bounded & feasible
 }
 
-// -------------------------------------------------------------- warm start --
-
-TEST(Simplex, WarmStartReproducesOptimum) {
-  LpProblem lp(Objective::kMaximize);
-  const auto x = lp.add_variable(3.0);
-  const auto y = lp.add_variable(5.0);
-  lp.add_constraint({{x, 1.0}}, RowSense::kLessEqual, 4.0);
-  lp.add_constraint({{y, 2.0}}, RowSense::kLessEqual, 12.0);
-  lp.add_constraint({{x, 3.0}, {y, 2.0}}, RowSense::kLessEqual, 18.0);
-  const LpSolution cold = solve_lp(lp);
-  ASSERT_EQ(cold.status, LpStatus::kOptimal);
-  ASSERT_FALSE(cold.basis.empty());
-
-  SimplexOptions options;
-  options.warm_basis = &cold.basis;
-  const LpSolution warm = solve_lp(lp, options);
-  ASSERT_EQ(warm.status, LpStatus::kOptimal);
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
-  // Re-solving from the optimal basis should take at most one pricing pass.
-  EXPECT_LE(warm.iterations, 2u);
-}
-
-TEST(Simplex, WarmStartAfterAddingColumns) {
-  // Column-generation pattern: same rows, one more variable.
-  LpProblem lp(Objective::kMaximize);
-  const auto a = lp.add_variable(1.0);
-  lp.add_constraint({{a, 1.0}}, RowSense::kLessEqual, 2.0);
-  lp.add_constraint({{a, 1.0}}, RowSense::kLessEqual, 5.0);
-  const LpSolution first = solve_lp(lp);
-  ASSERT_EQ(first.status, LpStatus::kOptimal);
-  EXPECT_NEAR(first.objective, 2.0, 1e-9);
-
-  LpProblem grown(Objective::kMaximize);
-  const auto a2 = grown.add_variable(1.0);
-  const auto b2 = grown.add_variable(3.0);
-  grown.add_constraint({{a2, 1.0}, {b2, 1.0}}, RowSense::kLessEqual, 2.0);
-  grown.add_constraint({{a2, 1.0}, {b2, 2.0}}, RowSense::kLessEqual, 5.0);
-  SimplexOptions options;
-  options.warm_basis = &first.basis;
-  const LpSolution second = solve_lp(grown, options);
-  ASSERT_EQ(second.status, LpStatus::kOptimal);
-  EXPECT_NEAR(second.objective, 6.0, 1e-9);  // b=2 dominates
-}
-
-TEST(Simplex, BogusWarmBasisIsIgnored) {
-  LpProblem lp(Objective::kMaximize);
-  const auto x = lp.add_variable(1.0);
-  lp.add_constraint({{x, 1.0}}, RowSense::kLessEqual, 3.0);
-  // Wrong arity and undecodable labels must both fall back to a cold start.
-  const std::vector<std::size_t> wrong_size{0, 1, 2};
-  SimplexOptions options;
-  options.warm_basis = &wrong_size;
-  EXPECT_NEAR(solve_lp(lp, options).objective, 3.0, 1e-9);
-
-  const std::vector<std::size_t> undecodable{12345};
-  options.warm_basis = &undecodable;
-  EXPECT_NEAR(solve_lp(lp, options).objective, 3.0, 1e-9);
-}
-
-TEST(Simplex, WarmStartPropertyOnRandomPrograms) {
-  Rng rng(90210);
-  for (int trial = 0; trial < 40; ++trial) {
-    LpProblem lp(Objective::kMaximize);
-    const std::size_t vars = 3 + rng.index(5);
-    for (std::size_t j = 0; j < vars; ++j) lp.add_variable(rng.uniform_real(0.0, 3.0));
-    const std::size_t rows = 3 + rng.index(5);
-    for (std::size_t i = 0; i < rows; ++i) {
-      std::vector<LpTerm> terms;
-      for (std::size_t j = 0; j < vars; ++j) {
-        terms.push_back({j, rng.uniform_real(0.1, 2.0)});
-      }
-      lp.add_constraint(terms, RowSense::kLessEqual, rng.uniform_real(1.0, 8.0));
-    }
-    const LpSolution cold = solve_lp(lp);
-    ASSERT_EQ(cold.status, LpStatus::kOptimal);
-    SimplexOptions options;
-    options.warm_basis = &cold.basis;
-    const LpSolution warm = solve_lp(lp, options);
-    ASSERT_EQ(warm.status, LpStatus::kOptimal);
-    EXPECT_NEAR(warm.objective, cold.objective, 1e-7) << "trial " << trial;
-  }
-}
-
 TEST(Simplex, StatusToString) {
   EXPECT_EQ(to_string(LpStatus::kOptimal), "optimal");
   EXPECT_EQ(to_string(LpStatus::kInfeasible), "infeasible");

@@ -34,8 +34,8 @@ double rel_diff(double a, double b) {
 
 TEST(PlannerSession, MatchesBatchSolverOnFirstSolve) {
   // The batch entry points are wrappers over a throwaway session, so this
-  // pins the wrapper plumbing: an explicit session with default (batch)
-  // options reports the identical solution.
+  // pins the wrapper plumbing: an explicit session with default options
+  // reports the identical solution.
   const Platform p = random_platform(14, 42);
   const SsbSolution batch = solve_ssb_cutting_plane(p);
   PlannerSession session(p);
@@ -65,7 +65,6 @@ void run_differential(PortModel port_model, std::uint64_t seed) {
   PlannerSessionOptions options;
   options.cutting.port_model = port_model;
   options.colgen.port_model = port_model;
-  options.cold_polish = false;  // the service path: warm polish only
   PlannerSession session(p, options);
   session.solve();
 
@@ -134,9 +133,7 @@ TEST(PlannerSession, FailedSolveRollsBackAndSessionStaysUsable) {
   // continued from that corrupt state.  Now the session rolls back to the
   // pools and the next solve rebuilds.
   const Platform p = random_platform(12, 77);
-  PlannerSessionOptions options;
-  options.cold_polish = false;
-  PlannerSession session(p, options);
+  PlannerSession session(p);
   const double tp0 = session.solve().throughput;
 
   // Cut node w (!= source) off: remove every arc into it.
@@ -237,9 +234,7 @@ TEST(PlannerSession, PackingPoolSeededResolveMatchesBatch) {
 
 TEST(PlannerSession, StatsCountMutationMachinery) {
   const Platform p = random_platform(10, 404);
-  PlannerSessionOptions options;
-  options.cold_polish = false;
-  PlannerSession session(p, options);
+  PlannerSession session(p);
   session.solve();
   session.scale_link_time(0, 1.5);
   session.solve();

@@ -84,14 +84,27 @@ TEST(PlannerService, PlanIsCachedByPointerIdentityUntilMutation) {
 }
 
 TEST(PlannerService, PlansMatchBatchSolverPerSource) {
-  const Platform p = random_platform(12, 21);
-  PlannerService service(p);
-  for (NodeId s : {NodeId{0}, NodeId{3}, NodeId{5}}) {
-    const double service_tp = service.throughput(s);
-    const SsbSolution batch = solve_ssb_cutting_plane(p.with_source(s));
-    EXPECT_LE(rel_diff(service_tp, batch.throughput), 1e-9) << "source " << s;
+  // One cutting-plane path: a service session's first solve runs the same
+  // code as the batch facade, so its plan matches the batch solution
+  // exactly -- the throughput and every arc load.
+  struct Case {
+    std::size_t nodes;
+    std::uint64_t seed;
+    std::vector<NodeId> sources;
+  };
+  const std::vector<Case> cases = {
+      {12, 21, {0, 3, 5}}, {24, 7, {0, 11}}, {40, 42, {0, 19}}, {60, 99, {0, 37}}};
+  for (const Case& c : cases) {
+    const Platform p = random_platform(c.nodes, c.seed);
+    PlannerService service(p);
+    for (NodeId s : c.sources) {
+      const std::shared_ptr<const SsbSolution> plan = service.plan(s);
+      const SsbSolution batch = solve_ssb_cutting_plane(p.with_source(s));
+      EXPECT_EQ(plan->throughput, batch.throughput) << "n=" << c.nodes << " source " << s;
+      EXPECT_EQ(plan->edge_load, batch.edge_load) << "n=" << c.nodes << " source " << s;
+    }
+    EXPECT_EQ(service.stats().sessions_created, c.sources.size()) << "n=" << c.nodes;
   }
-  EXPECT_EQ(service.stats().sessions_created, 3u);
 }
 
 TEST(PlannerService, EvictsSessionsPastMaxAndRecreatesOnDemand) {

@@ -329,10 +329,10 @@ TEST(SsbCuttingPlane, DeterministicAcrossRuns) {
   EXPECT_EQ(a.edge_load, b.edge_load);
 }
 
-TEST(SsbCuttingPlane, LoadPenaltyTamesThePathologicalInstance) {
-  // With the anti-degeneracy load penalty (default on) the 40-node instance
-  // that used to need hundreds of separation rounds converges in ~10 and
-  // agrees with column generation.
+TEST(SsbCuttingPlane, StabilizationTamesThePathologicalInstance) {
+  // With the lexicographic anti-degeneracy stage the 40-node instance that
+  // used to need hundreds of separation rounds converges in ~10 and agrees
+  // with column generation.
   Rng rng(40 * 31 + 12);
   RandomPlatformConfig config;
   config.num_nodes = 40;
@@ -348,8 +348,8 @@ TEST(SsbCuttingPlane, LoadPenaltyTamesThePathologicalInstance) {
 TEST(SsbColumnGen, IncrementalPackingMatchesCuttingPlane) {
   // The standing packing master (one IncrementalSimplex, a column appended
   // per pricing round) and the cutting-plane solver -- a different master
-  // program over arc loads, re-derived by cold polish solves -- must find
-  // the same optimum.
+  // program over arc loads, polished on its own standing masters -- must
+  // find the same optimum.
   Rng rng(611);
   for (int trial = 0; trial < 6; ++trial) {
     RandomPlatformConfig config;
