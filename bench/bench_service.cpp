@@ -6,7 +6,8 @@
 //      service_eval.hpp) replayed single-threaded -- read latencies and
 //      "link degraded -> new plan in hand" re-plan latencies (p50/p99).
 //   3. Concurrent reads: ThreadPool workers hammer throughput()/schedule()
-//      on the warm caches -> queries/sec under the shared reader lock.
+//      on the stored answers -> queries/sec, readers taking only the
+//      store's mutex.
 //   4. Warm vs cold: alternating degrade/restore re-plans on the warm
 //      session vs batch cold solves of the same mutated platforms.  The
 //      acceptance target is warm >= 5x cold at n=120.
@@ -122,8 +123,11 @@ int main() {
   records.push_back({"stream", "throughput_checksum", replay.throughput_checksum});
 
   // ---- phase 3: concurrent readers ----------------------------------------
-  // The stream above left the caches warm for the current version; reader
-  // threads now hit them concurrently under the shared lock.
+  // The stream re-planned only the source of each mutation, and read
+  // schedules only now and then, so the window opens on answers its last
+  // mutations retired: the first reads per source solve or synthesize them
+  // (a few uncached syntheses per run).  Every later read hits the store,
+  // taking only its mutex.
   const std::size_t num_threads = ThreadPool::default_thread_count();
   const std::size_t reads_per_thread = 4000;
   std::atomic<double> sink{0.0};
@@ -159,8 +163,8 @@ int main() {
   // ---- phase 4: warm vs cold re-plans --------------------------------------
   // The hot-source scenario: one source under monitoring, links degrade and
   // recover, every mutation is followed by a re-plan of that source.  A
-  // fresh single-session service isolates the measurement from the caches
-  // warmed above; the cold reference is what a batch caller would run on
+  // fresh single-session service isolates the measurement from the answers
+  // stored above; the cold reference is what a batch caller would run on
   // the same mutated platform (solve_ssb_cutting_plane from scratch).
   PlannerServiceOptions replan_options;
   replan_options.max_sessions = 1;

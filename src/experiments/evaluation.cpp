@@ -48,14 +48,16 @@ ScheduleSynthesisResult evaluate_schedule_synthesis(const Platform& platform,
 
   SsbColumnGenOptions solver_options;
   solver_options.port_model = port_model;
-  solver_options.export_tree_columns = from_solver_columns;
   Timer timer;
   const SsbPackingSolution optimum = solve_ssb_column_generation(platform, solver_options);
   result.solve_ms = timer.millis();
   result.optimal_throughput = optimum.throughput;
 
+  TreeDecompositionOptions decomposition_options;
+  decomposition_options.use_solution_columns = from_solver_columns;
   timer.reset();
-  const TreeDecomposition decomposition = decompose_edge_load(platform, optimum);
+  const TreeDecomposition decomposition =
+      decompose_edge_load(platform, optimum, decomposition_options);
   result.decompose_ms = timer.millis();
   result.used_solution_columns = decomposition.from_columns;
   result.num_trees = decomposition.trees.size();

@@ -54,9 +54,7 @@ ChurnScenarioResult run_churn_scenario(const Platform& platform,
   ChurnScenarioResult result;
   result.periods.reserve(options.timeline.num_periods);
 
-  // Initial plan: plan() first so schedule() synthesizes from the cutting
-  // loads (the warm re-plan path) instead of running packing column
-  // generation per boundary.
+  // Initial plan and the schedule executing it.
   PlanTier installed_tier = service.plan(source)->tier;
   auto installed = service.schedule(source);
   service.poll_schedule(sub);  // adopt the initial build's version
@@ -87,8 +85,8 @@ ChurnScenarioResult run_churn_scenario(const Platform& platform,
       replay.install(live, fresh, options.warm_handoff);
       installed_version = sub.seen_version;
       // Pre-events, the service's newest plan is the one behind the build
-      // the poll just returned, so this read is its tier (a cache/snapshot
-      // hit, no solve).
+      // the poll just returned, so this read is its tier (a store hit, no
+      // solve).
       installed_tier = service.plan(source)->tier;
       ++result.num_swaps;
     }
@@ -161,7 +159,7 @@ ChurnScenarioResult run_churn_scenario(const Platform& platform,
     if (async) service.resume_replans();
 
     if (left) {
-      // A leave dropped every session, snapshot and queued job, and the
+      // A leave dropped every session, stored answer and queued job, and the
       // installed schedule addresses the old id space -- force a
       // synchronous re-plan (even in async mode) and rebuild the replayer,
       // whose install() cannot shrink its platform.

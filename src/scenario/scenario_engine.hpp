@@ -32,10 +32,10 @@
 // drain_replans() so the set of finished builds at every boundary is a
 // deterministic function of the timeline, not of worker timing.  The
 // latency samples then come from PlannerService::take_replan_latencies
-// (mutation to published snapshot, queue wait included).
+// (mutation to stored answer, queue wait included).
 //
 // kNodeLeave is structural in both modes: the service drops every warm
-// session and published snapshot (remove_node), the engine mirrors the id
+// session and stored answer (remove_node), the engine mirrors the id
 // compaction onto its live platform and removal mask via the returned
 // ShrinkRemap, and a forced synchronous re-plan rebuilds the replayer
 // (ReplaySession::install cannot shrink its platform) -- so a leave, unlike
@@ -113,20 +113,20 @@ struct ChurnScenarioResult {
   std::uint64_t periods_exact = 0;
   std::uint64_t periods_rebuild = 0;
   std::uint64_t periods_heuristic = 0;
-  /// Async jobs that exhausted their retries (last-good snapshot kept
+  /// Async jobs that exhausted their retries (last-good answer kept
   /// serving); always 0 in synchronous mode.
   std::uint64_t replans_failed = 0;
   // ---- timing (NOT in the bitwise payload) ----
   /// Wall-clock per re-plan: synchronous mode times the inline
   /// plan()+schedule() per event; async mode reports the worker's
-  /// mutation-to-published-snapshot latencies.
+  /// mutation-to-stored-answer latencies.
   std::vector<double> replan_latency_ms;
 };
 
 struct ChurnScenarioOptions {
   ChurnTimelineConfig timeline;
-  /// Service configuration (warm sessions, caches).  The engine overrides
-  /// the solver pools with `pool` below.
+  /// Service configuration (warm sessions, ladder, async mode).  The
+  /// engine overrides the solver pools with `pool` below.
   PlannerServiceOptions service;
   /// Worker pool for every solve the scenario runs (service sessions and
   /// the offline reference).  nullptr: the solvers' default.  The result

@@ -9,15 +9,18 @@
 
 namespace bt {
 
+namespace {
+
+/// Re-plan attempts after a failed one (transient faults), with a linear
+/// backoff of kReplanRetryBackoffMs per attempt between them.
+constexpr std::size_t kReplanMaxRetries = 2;
+constexpr double kReplanRetryBackoffMs = 1.0;
+
+}  // namespace
+
 PlannerService::PlannerService(Platform platform, PlannerServiceOptions options)
-    : platform_(std::move(platform)),
-      removed_(platform_.num_edges(), 0),
-      options_(options),
-      plan_cache_(options.plan_cache_capacity),
-      schedule_cache_(options.schedule_cache_capacity) {
+    : platform_(std::move(platform)), removed_(platform_.num_edges(), 0), options_(options) {
   BT_REQUIRE(options_.max_sessions > 0, "PlannerService: max_sessions must be positive");
-  BT_REQUIRE(options_.replan_queue_capacity > 0,
-             "PlannerService: replan_queue_capacity must be positive");
   if (options_.async_replan) {
     worker_ = std::thread([this] { worker_loop(); });
   }
@@ -78,9 +81,16 @@ void PlannerService::note_tier_locked(PlanTier tier) {
 
 std::shared_ptr<const SsbSolution> PlannerService::plan_locked(NodeId source,
                                                                const LadderOptions& ladder) {
-  // Re-check under the exclusive lock: another writer may have solved this
-  // (source, version) while we waited to escalate.
-  if (auto hit = plan_cache_.get({source, version_})) return *hit;
+  {
+    // Re-check under the exclusive lock: another writer may have solved
+    // this version while we waited to escalate.
+    std::lock_guard<std::mutex> lock(answers_mutex_);
+    const auto it = answers_.find(source);
+    if (it != answers_.end() && it->second.plan != nullptr &&
+        it->second.plan_version == version_) {
+      return it->second.plan;
+    }
+  }
   FaultScope scope(options_.faults);
   // Injected mid-stream eviction: the warm session vanishes just before the
   // solve, so the answer comes from a cold rebuild (still kExact -- the
@@ -90,130 +100,116 @@ std::shared_ptr<const SsbSolution> PlannerService::plan_locked(NodeId source,
   auto solution = std::make_shared<const SsbSolution>(session.solve_laddered(ladder));
   ++solves_;
   note_tier_locked(solution->tier);
-  plan_cache_.put({source, version_}, solution);
+  std::lock_guard<std::mutex> lock(answers_mutex_);
+  Answer& answer = answers_[source];
+  answer.plan_version = version_;
+  answer.plan = solution;
   return solution;
 }
 
 std::shared_ptr<const PeriodicSchedule> PlannerService::schedule_locked(
     NodeId source, const LadderOptions& ladder) {
-  const PortModel port_model = options_.session.cutting.port_model;
-  if (auto hit = schedule_cache_.get({source, port_model, version_})) return *hit;
-  FaultScope scope(options_.faults);
-  PlannerSession& session = session_locked(source);
-  std::shared_ptr<const PeriodicSchedule> schedule;
-  try {
-    schedule = std::make_shared<const PeriodicSchedule>(session.schedule());
-  } catch (const Error&) {
-    // The synthesis path failed (e.g. an injected pricing-oracle fault in
-    // the packing solve).  Route through the ladder: solve_laddered leaves
-    // a fresh cutting-plane -- or heuristic single-tree -- solution for
-    // schedule() to synthesize from instead.
-    session.solve_laddered(ladder);
-    schedule = std::make_shared<const PeriodicSchedule>(session.schedule());
+  {
+    std::lock_guard<std::mutex> lock(answers_mutex_);
+    const auto it = answers_.find(source);
+    if (it != answers_.end() && it->second.schedule != nullptr &&
+        it->second.schedule_version == version_) {
+      return it->second.schedule;
+    }
   }
+  // The schedule executes the served plan: synthesized from exactly the
+  // plan stored for this version, never from whichever solver is fresh.
+  // The base platform rebased on the source carries bitwise the session's
+  // arc costs, so a schedule read neither creates nor evicts a session.
+  // Synthesis fans out over the sessions' worker pool, so a caller pinning
+  // the pool width (the churn determinism matrix) covers it too, and runs
+  // outside the FaultScope: faults target solves.
+  const std::shared_ptr<const SsbSolution> plan = plan_locked(source, ladder);
+  OrchestrationOptions orchestration;
+  orchestration.port_model = options_.session.cutting.port_model;
+  orchestration.pool = options_.session.cutting.pool;
+  TreeDecompositionOptions decomposition;
+  decomposition.pool = options_.session.cutting.pool;
+  auto schedule = std::make_shared<const PeriodicSchedule>(synthesize_schedule(
+      platform_.with_source(source), *plan, orchestration, decomposition));
   ++schedules_built_;
-  schedule_cache_.put({source, port_model, version_}, schedule);
-  schedule_built_[source] = version_;
+  std::lock_guard<std::mutex> lock(answers_mutex_);
+  Answer& answer = answers_[source];
+  answer.schedule_version = version_;
+  answer.schedule = schedule;
   return schedule;
-}
-
-void PlannerService::publish_locked(NodeId source, std::shared_ptr<const SsbSolution> plan,
-                                    std::shared_ptr<const PeriodicSchedule> schedule) {
-  std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  Snapshot& snap = published_[source];
-  snap.version = version_;
-  snap.plan = std::move(plan);
-  snap.schedule = std::move(schedule);
 }
 
 double PlannerService::throughput(NodeId source) { return plan(source)->throughput; }
 
+// The read path takes only answers_mutex_: a stored plan or schedule
+// answers a read when it is stamped with the version the read saw, or in
+// async mode whenever it is stored (the last-good answer).  A miss escalates
+// to the write guard.
+
 std::shared_ptr<const SsbSolution> PlannerService::plan(NodeId source) {
   queries_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.async_replan) {
-    {
-      std::lock_guard<std::mutex> lock(snapshot_mutex_);
-      const auto it = published_.find(source);
-      if (it != published_.end()) return it->second.plan;
-    }
-    // First request for this source: solve synchronously (there is no
-    // last-good yet) and publish, so later reads and polls are O(1).
-    WriteGuard lock(guard_);
-    auto plan = plan_locked(source, options_.ladder);
-    auto schedule = schedule_locked(source, options_.ladder);
-    publish_locked(source, plan, schedule);
-    return plan;
-  }
+  const std::uint64_t seen = version();
   {
-    ReadGuard lock(guard_);
-    if (auto hit = plan_cache_.get({source, version_})) return *hit;
+    std::lock_guard<std::mutex> lock(answers_mutex_);
+    const auto it = answers_.find(source);
+    if (it != answers_.end() && it->second.plan != nullptr &&
+        (options_.async_replan || it->second.plan_version == seen)) {
+      ++plan_hits_;
+      return it->second.plan;
+    }
   }
   WriteGuard lock(guard_);
-  return plan_locked(source, options_.ladder);
+  auto plan = plan_locked(source, options_.ladder);
+  // Async mode only misses before a source's first answer: build its
+  // schedule too, so polls and the worker have a whole answer to hand out
+  // and refresh.
+  if (options_.async_replan) schedule_locked(source, options_.ladder);
+  return plan;
 }
 
 std::shared_ptr<const PeriodicSchedule> PlannerService::schedule(NodeId source) {
   queries_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.async_replan) {
-    {
-      std::lock_guard<std::mutex> lock(snapshot_mutex_);
-      const auto it = published_.find(source);
-      if (it != published_.end()) return it->second.schedule;
-    }
-    WriteGuard lock(guard_);
-    auto plan = plan_locked(source, options_.ladder);
-    auto schedule = schedule_locked(source, options_.ladder);
-    publish_locked(source, plan, schedule);
-    return schedule;
-  }
+  const std::uint64_t seen = version();
   {
-    ReadGuard lock(guard_);
-    const PortModel port_model = options_.session.cutting.port_model;
-    if (auto hit = schedule_cache_.get({source, port_model, version_})) return *hit;
+    std::lock_guard<std::mutex> lock(answers_mutex_);
+    const auto it = answers_.find(source);
+    if (it != answers_.end() && it->second.schedule != nullptr &&
+        (options_.async_replan || it->second.schedule_version == seen)) {
+      ++schedule_hits_;
+      return it->second.schedule;
+    }
   }
   WriteGuard lock(guard_);
   return schedule_locked(source, options_.ladder);
 }
 
 std::shared_ptr<const PeriodicSchedule> PlannerService::poll_schedule(ScheduleSubscription& sub) {
-  if (options_.async_replan) {
-    // Snapshot lock only: a poll at a period boundary must not block on the
-    // worker's write-guarded solve -- that wait is exactly the staleness
-    // the async mode exists to hide.
-    std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    const auto it = published_.find(sub.source);
-    if (it == published_.end()) return nullptr;
-    if (sub.seen_version != ScheduleSubscription::kNone &&
-        it->second.version <= sub.seen_version) {
-      return nullptr;
-    }
-    sub.seen_version = it->second.version;
-    return it->second.schedule;
-  }
-  ReadGuard lock(guard_);
-  const auto it = schedule_built_.find(sub.source);
-  if (it == schedule_built_.end()) return nullptr;
-  const std::uint64_t built = it->second;
-  if (sub.seen_version != ScheduleSubscription::kNone && built <= sub.seen_version)
+  // Store lock only: a poll at a period boundary must not block on the
+  // worker's write-guarded solve -- that wait is exactly the staleness the
+  // async mode exists to hide.
+  std::lock_guard<std::mutex> lock(answers_mutex_);
+  const auto it = answers_.find(sub.source);
+  if (it == answers_.end() || it->second.schedule == nullptr) return nullptr;
+  const std::uint64_t built = it->second.schedule_version;
+  if (sub.seen_version != ScheduleSubscription::kNone && built <= sub.seen_version) {
     return nullptr;
-  const PortModel port_model = options_.session.cutting.port_model;
-  auto hit = schedule_cache_.get({sub.source, port_model, built});
-  if (!hit) return nullptr;  // LRU-evicted since it was built
+  }
   sub.seen_version = built;
-  return *hit;
+  return it->second.schedule;
 }
 
 // ---- async worker -----------------------------------------------------------
 
 void PlannerService::enqueue_replans() {
   if (!options_.async_replan) return;
-  // Re-plan every source a consumer is subscribed to (= has a published
-  // snapshot).  Sources nobody asked about yet have nothing to refresh.
+  // Re-plan every source with a stored answer.  Sources nobody asked about
+  // yet have nothing to refresh.
   std::vector<NodeId> targets;
   {
-    std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    targets.reserve(published_.size());
-    for (const auto& entry : published_) targets.push_back(entry.first);
+    std::lock_guard<std::mutex> lock(answers_mutex_);
+    targets.reserve(answers_.size());
+    for (const auto& entry : answers_) targets.push_back(entry.first);
   }
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -230,10 +226,6 @@ void PlannerService::enqueue_replans() {
         }
       }
       if (coalesced) continue;
-      if (queue_.size() >= options_.replan_queue_capacity) {
-        queue_.pop_front();
-        replans_dropped_.fetch_add(1, std::memory_order_relaxed);
-      }
       queue_.push_back({source, version_});
       replans_enqueued_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -267,10 +259,8 @@ void PlannerService::run_replan(ReplanJob job) {
       LadderOptions ladder = options_.ladder;
       // Retries exist to recover the LP optimum from a transient fault;
       // only the final attempt is allowed to degrade to the heuristic.
-      if (attempt < options_.replan_max_retries) ladder.allow_heuristic = false;
-      auto plan = plan_locked(job.source, ladder);
-      auto schedule = schedule_locked(job.source, ladder);
-      publish_locked(job.source, std::move(plan), std::move(schedule));
+      if (attempt < kReplanMaxRetries) ladder.allow_heuristic = false;
+      schedule_locked(job.source, ladder);
       replans_run_.fetch_add(1, std::memory_order_relaxed);
       {
         std::lock_guard<std::mutex> latency_lock(queue_mutex_);
@@ -278,18 +268,16 @@ void PlannerService::run_replan(ReplanJob job) {
       }
       return;
     } catch (const Error&) {
-      if (attempt >= options_.replan_max_retries) {
-        // Out of retries: the last-good snapshot stays published (stale but
+      if (attempt >= kReplanMaxRetries) {
+        // Out of retries: the last-good answer stays stored (stale but
         // answerable); the next mutation or direct request tries again.
         // Never let an exception escape the worker thread.
         replans_failed_.fetch_add(1, std::memory_order_relaxed);
         return;
       }
       replan_retries_.fetch_add(1, std::memory_order_relaxed);
-      if (options_.replan_retry_backoff_ms > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            options_.replan_retry_backoff_ms * static_cast<double>(attempt + 1)));
-      }
+      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+          kReplanRetryBackoffMs * static_cast<double>(attempt + 1)));
     }
   }
 }
@@ -395,16 +383,15 @@ void PlannerService::remove_node(NodeId node, ShrinkRemap* remap) {
   }
   platform_ = std::move(shrunk);
   removed_ = std::move(compact_removed);
-  // Structural fallback, service-wide: every warm session, published
-  // snapshot, poll cursor and queued job speaks the old id space.  Drop
-  // them all; the next request per source solves cold against the compact
-  // platform (consumers re-subscribe through the remap).
+  // Structural fallback, service-wide: every warm session, stored answer,
+  // poll cursor and queued job speaks the old id space.  Drop them all; the
+  // next request per source solves cold against the compact platform
+  // (consumers re-subscribe through the remap).
   sessions_evicted_ += sessions_.size();
   sessions_.clear();
-  schedule_built_.clear();
   {
-    std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
-    published_.clear();
+    std::lock_guard<std::mutex> answers_lock(answers_mutex_);
+    answers_.clear();
   }
   {
     std::lock_guard<std::mutex> queue_lock(queue_mutex_);
@@ -426,8 +413,11 @@ PlannerServiceStats PlannerService::stats() {
   WriteGuard lock(guard_);
   PlannerServiceStats out;
   out.queries = queries_.load(std::memory_order_relaxed);
-  out.plan_cache_hits = plan_cache_.hits();
-  out.schedule_cache_hits = schedule_cache_.hits();
+  {
+    std::lock_guard<std::mutex> answers_lock(answers_mutex_);
+    out.plan_cache_hits = plan_hits_;
+    out.schedule_cache_hits = schedule_hits_;
+  }
   out.solves = solves_;
   out.schedules_built = schedules_built_;
   out.mutations = mutations_;
@@ -438,7 +428,6 @@ PlannerServiceStats PlannerService::stats() {
   out.plans_heuristic = plans_heuristic_;
   out.replans_enqueued = replans_enqueued_.load(std::memory_order_relaxed);
   out.replans_coalesced = replans_coalesced_.load(std::memory_order_relaxed);
-  out.replans_dropped = replans_dropped_.load(std::memory_order_relaxed);
   out.replans_run = replans_run_.load(std::memory_order_relaxed);
   out.replan_retries = replan_retries_.load(std::memory_order_relaxed);
   out.replans_failed = replans_failed_.load(std::memory_order_relaxed);

@@ -22,40 +22,54 @@
 //    the incremental machinery instead of cold solves.  A session's first
 //    solve is the batch solve, bitwise; a warm re-plan agrees with a cold
 //    solve within 1e-9 relative (see planner_session.hpp).
-//  * LRU caches of plans and synthesized schedules keyed by (source,
-//    service version), so steady-state read traffic doesn't even touch the
-//    sessions.
+//  * One stored answer per source: the newest plan and the newest schedule,
+//    each stamped with the service version it answers, so steady-state read
+//    traffic doesn't even touch the sessions.  Every read keys on the
+//    current version and polls only ask for the newest build, so one entry
+//    per source is all a cache could ever hit: the store holds at most one
+//    plan and one schedule per source ever requested (at most the node
+//    count), under its own mutex.
+//  * Schedules execute the served plan: a schedule is always synthesized
+//    (sched/orchestrate.hpp, synthesize_schedule) from the plan stored for
+//    its version, on the service's platform rebased on the source -- never
+//    from whichever solver happens to be fresh -- so its per-arc rates stay
+//    within the plan's edge loads whatever order plan() and schedule() are
+//    called in.  A heuristic-tier plan carries its tree in tree_columns,
+//    which the decomposition adopts.
 //  * A many-readers / one-writer guard (util/parallel_read_serial_write.hpp):
-//    queries share the service; mutations serialize, apply their delta to
-//    the base platform and every warm session, and bump the version (which
-//    retires all cached plans/schedules at once).
+//    mutations serialize, apply their delta to the base platform and every
+//    warm session, and bump the version (which retires every stored answer
+//    at once).  Reads take only the store's mutex; a read that races a
+//    mutation returns the answer of the version it saw, and a miss
+//    escalates to the write guard to run the solve.
 //
 // Degradation ladder: every solve the service runs goes through
 // PlannerSession::solve_laddered under Options::ladder, so a recoverable
-// solver fault (or an exhausted deadline budget) degrades the answer --
+// solver fault (or an exhausted pivot budget) degrades the answer --
 // exact -> pool-rebuild -> heuristic tree, tagged in SsbSolution::tier /
 // quality_gap -- instead of surfacing an exception.  Only a platform that
 // genuinely cannot broadcast still throws.  Options::faults arms a
 // deterministic FaultInjector around every service-run solve (and the
-// pre-solve session-eviction hook); solves run elsewhere -- e.g. an offline
-// reference session -- never consume its triggers.
+// pre-solve session-eviction hook) and nowhere else: schedule synthesis and
+// solves run elsewhere -- e.g. an offline reference session -- never
+// consume its triggers.
 //
 // Async re-planning (Options::async_replan): mutations enqueue
 // version-stamped re-plan jobs on a background worker instead of leaving
-// the next reader to pay the solve.  Readers serve the last-good published
-// snapshot per source from a dedicated snapshot lock -- never blocking on
-// the worker's write-guarded solves -- and poll_schedule hands the new
-// build out at the consumer's next period boundary, so staleness overlaps
-// solver latency.  The queue is bounded (oldest job dropped beyond
-// capacity), jobs for the same source coalesce to the newest version, and
-// a failed re-plan retries with linear backoff -- exact rungs only until
-// the final attempt, which may degrade.  pause/resume/drain give batch
-// mutators (the churn engine) deterministic barriers: pause around an
-// event batch so the worker solves only the batch's final state, drain
-// before reading to make results reproducible.
+// the next reader to pay the solve.  Readers then take any stored answer
+// as a hit -- the last-good plan and schedule, possibly one or more
+// versions stale while the worker holds the write guard through a solve --
+// and poll_schedule hands the new build out at the consumer's next period
+// boundary, so staleness overlaps solver latency.  Jobs for the same source
+// coalesce to the newest version (so the queue holds at most one job per
+// stored source), and a failed re-plan retries with linear backoff --
+// exact rungs only until the final attempt, which may degrade.
+// pause/resume/drain give batch mutators (the churn engine) deterministic
+// barriers: pause around an event batch so the worker solves only the
+// batch's final state, drain before reading to make results reproducible.
 //
-// Read methods are const-free on purpose: a cache miss escalates to the
-// writer side to run the solve, so "read" describes the request, not the
+// Read methods are const-free on purpose: a miss escalates to the writer
+// side to run the solve, so "read" describes the request, not the
 // implementation.
 
 #include <atomic>
@@ -70,7 +84,7 @@
 #include <vector>
 
 #include "platform/platform.hpp"
-#include "sched/schedule_cache.hpp"
+#include "sched/periodic_schedule.hpp"
 #include "ssb/planner_session.hpp"
 #include "util/fault_injection.hpp"
 #include "util/parallel_read_serial_write.hpp"
@@ -78,26 +92,17 @@
 namespace bt {
 
 struct PlannerServiceOptions {
-  /// Per-source session configuration.
+  /// Per-source session configuration; schedule synthesis uses the port
+  /// model and worker pool of session.cutting.
   PlannerSessionOptions session;
   /// Warm sessions kept alive at once (LRU-evicted beyond this).
   std::size_t max_sessions = 8;
-  /// Cached (source, version) plans and schedules.
-  std::size_t plan_cache_capacity = 32;
-  std::size_t schedule_cache_capacity = 16;
-  /// Degradation policy of every solve the service runs (deadline budgets,
+  /// Degradation policy of every solve the service runs (pivot budget,
   /// permitted rungs); see planner_session.hpp.
   LadderOptions ladder;
   /// Run re-plans on a background worker (see header comment).  Off by
   /// default: mutations then stay cheap and the next reader pays the solve.
   bool async_replan = false;
-  /// Queued re-plan jobs beyond this drop the oldest (the service degrades
-  /// to reader-paid solves for the dropped source, it never blocks).
-  std::size_t replan_queue_capacity = 64;
-  /// Re-plan attempts after a failed one (transient faults), with linear
-  /// backoff of replan_retry_backoff_ms between attempts.
-  std::size_t replan_max_retries = 2;
-  double replan_retry_backoff_ms = 1.0;
   /// When set, armed (thread-locally) around every service-run solve; see
   /// util/fault_injection.hpp.  Not owned.
   FaultInjector* faults = nullptr;
@@ -106,8 +111,8 @@ struct PlannerServiceOptions {
 /// Service counters (monotonic since construction).
 struct PlannerServiceStats {
   std::uint64_t queries = 0;           ///< plan/throughput/schedule requests
-  std::uint64_t plan_cache_hits = 0;
-  std::uint64_t schedule_cache_hits = 0;
+  std::uint64_t plan_cache_hits = 0;      ///< plan reads answered from the store
+  std::uint64_t schedule_cache_hits = 0;  ///< schedule reads answered from the store
   std::uint64_t solves = 0;            ///< session solves run on a miss
   std::uint64_t schedules_built = 0;
   std::uint64_t mutations = 0;
@@ -120,8 +125,7 @@ struct PlannerServiceStats {
   // Async re-plan worker.
   std::uint64_t replans_enqueued = 0;
   std::uint64_t replans_coalesced = 0;  ///< superseded jobs folded into newer ones
-  std::uint64_t replans_dropped = 0;    ///< oldest jobs dropped at capacity
-  std::uint64_t replans_run = 0;        ///< jobs that published a snapshot
+  std::uint64_t replans_run = 0;        ///< jobs that stored a new answer
   std::uint64_t replan_retries = 0;     ///< failed attempts that were retried
   std::uint64_t replans_failed = 0;     ///< jobs that exhausted their retries
 };
@@ -150,21 +154,23 @@ class PlannerService {
 
   /// The full plan (TP*, edge loads, tier, diagnostics) for `source`.  The
   /// returned snapshot stays valid after later mutations.  In async mode
-  /// this is the last-good published snapshot (possibly one or more
-  /// versions stale while a re-plan is in flight); the first request for a
-  /// source still solves synchronously.
+  /// this is the last-good stored plan (possibly one or more versions stale
+  /// while a re-plan is in flight); the first request for a source still
+  /// solves its plan and schedule synchronously.
   std::shared_ptr<const SsbSolution> plan(NodeId source);
 
-  /// The synthesized periodic schedule for `source` (async: last-good
-  /// snapshot, as for plan()).
+  /// The periodic schedule executing plan(source) at the same version:
+  /// synthesized from the stored plan (solving it first on a miss), so its
+  /// per-arc rates never exceed the plan's edge loads.  Async: the
+  /// last-good stored schedule, as for plan().
   std::shared_ptr<const PeriodicSchedule> schedule(NodeId source);
 
-  /// Non-blocking epoch hook: the newest *built* schedule for `sub.source`
-  /// whose service version is newer than sub.seen_version, advancing the
-  /// cursor -- or nullptr when nothing newer has been built (or the build
-  /// was already LRU-evicted; call schedule() to force one).  Never solves
-  /// or synthesizes, so an executor can poll at every period boundary and
-  /// keep running its installed schedule while a re-plan is in flight.
+  /// Non-blocking epoch hook: the stored schedule for `sub.source` when its
+  /// service version is newer than sub.seen_version, advancing the cursor
+  /// -- or nullptr when nothing newer has been built (call schedule() to
+  /// force one).  Never solves or synthesizes, so an executor can poll at
+  /// every period boundary and keep running its installed schedule while a
+  /// re-plan is in flight.
   std::shared_ptr<const PeriodicSchedule> poll_schedule(ScheduleSubscription& sub);
 
   // ---- write requests (serialized) ----
@@ -187,8 +193,8 @@ class PlannerService {
   /// Remove `node` and every arc touching it (the mirror of add_node; see
   /// shrink_platform).  Node and arc ids compact -- `remap` (optional)
   /// receives old-id -> new-id maps with Digraph::npos for the dropped ones
-  /// -- so this is a structural fallback: all warm sessions, published
-  /// snapshots, schedule cursors and queued re-plans for the old id space
+  /// -- so this is a structural fallback: all warm sessions, stored
+  /// answers, schedule cursors and queued re-plans for the old id space
   /// are dropped, and the next request per source solves cold.  Requires
   /// node != the base platform's source and >= 3 nodes.
   void remove_node(NodeId node, ShrinkRemap* remap = nullptr);
@@ -203,8 +209,8 @@ class PlannerService {
   void pause_replans();
   void resume_replans();
 
-  /// Wall-clock ms per published re-plan since the last take, mutation to
-  /// snapshot (includes queue wait and retries).
+  /// Wall-clock ms per completed re-plan since the last take, mutation to
+  /// stored answer (includes queue wait and retries).
   std::vector<double> take_replan_latencies();
 
   // ---- introspection ----
@@ -212,33 +218,26 @@ class PlannerService {
   /// Snapshot of the current platform (copy: safe under concurrency).
   Platform platform_snapshot();
 
-  /// Mutation counter; cached plans/schedules are keyed by it.  Lock-free,
-  /// so staleness accounting never blocks on an in-flight re-plan.
+  /// Mutation counter; stored plans and schedules are stamped with it.
+  /// Lock-free, so reads and staleness accounting never block on an
+  /// in-flight re-plan.
   std::uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
   PlannerServiceStats stats();
 
  private:
-  struct PlanKey {
-    NodeId source = 0;
-    std::uint64_t version = 0;
-    bool operator==(const PlanKey& other) const {
-      return source == other.source && version == other.version;
-    }
-  };
-
   /// One queued re-plan: solve `source` at (at least) `version`.
   struct ReplanJob {
     NodeId source = 0;
     std::uint64_t version = 0;
   };
 
-  /// Last-good published answer per source (async mode).  Lives under
-  /// snapshot_mutex_, NOT the guard, so readers copy shared_ptrs in O(1)
-  /// while the worker holds the write guard through a solve.
-  struct Snapshot {
-    std::uint64_t version = 0;
+  /// The stored answer of one source: its newest plan and newest schedule,
+  /// each stamped with the service version it answers.
+  struct Answer {
+    std::uint64_t plan_version = 0;
     std::shared_ptr<const SsbSolution> plan;
+    std::uint64_t schedule_version = 0;
     std::shared_ptr<const PeriodicSchedule> schedule;
   };
 
@@ -246,17 +245,18 @@ class PlannerService {
   /// Caller must hold the write guard.
   PlannerSession& session_locked(NodeId source);
   void evict_session_locked(NodeId source);
+  /// The plan / schedule answering the current version: a store hit, else
+  /// a laddered solve / a synthesis from plan_locked's plan, stored on the
+  /// way out.  Caller must hold the write guard.
   std::shared_ptr<const SsbSolution> plan_locked(NodeId source, const LadderOptions& ladder);
   std::shared_ptr<const PeriodicSchedule> schedule_locked(NodeId source,
                                                           const LadderOptions& ladder);
   void note_tier_locked(PlanTier tier);
-  void publish_locked(NodeId source, std::shared_ptr<const SsbSolution> plan,
-                      std::shared_ptr<const PeriodicSchedule> schedule);
   void enqueue_replans();
   void worker_loop();
   void run_replan(ReplanJob job);
 
-  // Lock order: guard_ before snapshot_mutex_ / queue_mutex_ (never the
+  // Lock order: guard_ before answers_mutex_ / queue_mutex_ (never the
   // other way; the two leaf mutexes are never held together).
   ParallelReadSerialWrite guard_;
   Platform platform_;                 ///< base platform (source = as loaded)
@@ -268,11 +268,12 @@ class PlannerService {
   /// Warm sessions, most recently used first.
   std::list<std::pair<NodeId, std::unique_ptr<PlannerSession>>> sessions_;
 
-  LruCache<PlanKey, std::shared_ptr<const SsbSolution>> plan_cache_;
-  ScheduleCache schedule_cache_;
-  /// Per-source service version of the newest schedule ever built, feeding
-  /// poll_schedule (only grows; written under the write guard).
-  std::map<NodeId, std::uint64_t> schedule_built_;
+  /// One stored answer per source ever requested.  Readers take only
+  /// answers_mutex_, never the guard; writes also hold the write guard.
+  std::mutex answers_mutex_;
+  std::map<NodeId, Answer> answers_;
+  std::uint64_t plan_hits_ = 0;      ///< under answers_mutex_
+  std::uint64_t schedule_hits_ = 0;  ///< under answers_mutex_
 
   // ---- async worker state ----
   std::mutex queue_mutex_;
@@ -285,12 +286,10 @@ class PlannerService {
   std::vector<double> replan_latencies_;
   std::thread worker_;
 
-  std::mutex snapshot_mutex_;
-  std::map<NodeId, Snapshot> published_;
-
-  // Counter discipline: queries_ is bumped on the read path (shared lock)
-  // and the replans_* counters on the worker thread, so they're atomic;
-  // everything else only changes under the write guard.
+  // Counter discipline: queries_ is bumped on the guard-free read path and
+  // the replans_* counters on the worker thread, so they're atomic; the
+  // hit counters live under answers_mutex_ and everything else only
+  // changes under the write guard.
   std::atomic<std::uint64_t> queries_{0};
   std::uint64_t solves_ = 0;
   std::uint64_t schedules_built_ = 0;
@@ -302,7 +301,6 @@ class PlannerService {
   std::uint64_t plans_heuristic_ = 0;
   std::atomic<std::uint64_t> replans_enqueued_{0};
   std::atomic<std::uint64_t> replans_coalesced_{0};
-  std::atomic<std::uint64_t> replans_dropped_{0};
   std::atomic<std::uint64_t> replans_run_{0};
   std::atomic<std::uint64_t> replan_retries_{0};
   std::atomic<std::uint64_t> replans_failed_{0};

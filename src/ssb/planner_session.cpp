@@ -10,7 +10,6 @@
 #include "flow/maxflow.hpp"
 #include "graph/min_arborescence.hpp"
 #include "lp/simplex.hpp"
-#include "sched/orchestrate.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 #include "util/thread_pool.hpp"
@@ -544,9 +543,7 @@ const SsbSolution& PlannerSession::solve() {
 }
 
 void PlannerSession::check_solve_budget(const SsbSolution& solution) {
-  const bool pivots_out = pivot_budget_ > 0 && solution.lp_iterations >= pivot_budget_;
-  const bool wall_out = wall_budget_ms_ > 0.0 && budget_timer_.millis() >= wall_budget_ms_;
-  if (!pivots_out && !wall_out) return;
+  if (pivot_budget_ == 0 || solution.lp_iterations < pivot_budget_) return;
   budget_hit_ = true;
   ++stats_.budget_exhausts;
   throw Error("PlannerSession: solve budget exhausted (ladder deadline)");
@@ -612,15 +609,10 @@ SsbSolution PlannerSession::heuristic_solution() const {
 const SsbSolution& PlannerSession::solve_laddered(const LadderOptions& ladder) {
   if (!cutting_dirty_) return cutting_solution_;
   pivot_budget_ = ladder.pivot_budget;
-  wall_budget_ms_ = ladder.wall_budget_ms;
-  budget_timer_.reset();
   budget_hit_ = false;
   struct BudgetReset {
     PlannerSession* session;
-    ~BudgetReset() {
-      session->pivot_budget_ = 0;
-      session->wall_budget_ms_ = 0.0;
-    }
+    ~BudgetReset() { session->pivot_budget_ = 0; }
   } reset{this};
 
   try {
@@ -628,8 +620,7 @@ const SsbSolution& PlannerSession::solve_laddered(const LadderOptions& ladder) {
   } catch (const Error&) {
     // An exhausted budget skips the rebuild rung -- a rebuild is the
     // *expensive* recovery, and would only burn the budget again.
-    const bool try_rebuild = ladder.allow_rebuild && !budget_hit_;
-    if (try_rebuild) {
+    if (!budget_hit_) {
       try {
         // Rung 1: the rollback above dropped the standing masters but kept
         // the pools, so this solve() rebuilds from pool content.
@@ -656,7 +647,6 @@ const SsbSolution& PlannerSession::solve_laddered(const LadderOptions& ladder) {
 // ---- mutation layer ---------------------------------------------------------
 
 void PlannerSession::note_mutation() {
-  ++version_;
   ++stats_.mutations;
   cutting_dirty_ = true;
   packing_dirty_ = true;
@@ -1051,7 +1041,7 @@ void PlannerSession::run_packing_solve() {
     tree.rate = rate;
     solution.trees.push_back(std::move(tree));
   }
-  if (options.export_tree_columns) solution.tree_columns = solution.trees;
+  solution.tree_columns = solution.trees;
   solution.cuts_generated = columns.size();
   packing_solution_ = std::move(solution);
 }
@@ -1070,41 +1060,6 @@ const SsbPackingSolution& PlannerSession::solve_packing() {
   }
   packing_dirty_ = false;
   return packing_solution_;
-}
-
-// ---- schedule synthesis -----------------------------------------------------
-
-const PeriodicSchedule& PlannerSession::schedule() {
-  if (schedule_ != nullptr && schedule_version_ == version_) return *schedule_;
-  // Synthesis fans out over the same worker pool as the masters (per-tree
-  // validation, the BvN consume step, the decomposition certificate), so a
-  // caller pinning the pool width -- the churn determinism matrix -- covers
-  // the schedule path too.
-  OrchestrationOptions orchestration;
-  TreeDecompositionOptions decomposition;
-  PeriodicSchedule built;
-  if (!packing_dirty_) {
-    // Fresh packing solution: orchestrate its exact tree columns.
-    orchestration.port_model = options_.colgen.port_model;
-    orchestration.pool = options_.colgen.pool;
-    decomposition.pool = options_.colgen.pool;
-    built = synthesize_schedule(platform_, packing_solution_, orchestration, decomposition);
-  } else if (!cutting_dirty_) {
-    // Fresh cutting-plane loads: decompose, then orchestrate.
-    orchestration.port_model = options_.cutting.port_model;
-    orchestration.pool = options_.cutting.pool;
-    decomposition.pool = options_.cutting.pool;
-    built = synthesize_schedule(platform_, cutting_solution_, orchestration, decomposition);
-  } else {
-    orchestration.port_model = options_.colgen.port_model;
-    orchestration.pool = options_.colgen.pool;
-    decomposition.pool = options_.colgen.pool;
-    built = synthesize_schedule(platform_, solve_packing(), orchestration, decomposition);
-  }
-  schedule_ = std::make_unique<PeriodicSchedule>(std::move(built));
-  schedule_version_ = version_;
-  ++stats_.schedules_built;
-  return *schedule_;
 }
 
 }  // namespace bt

@@ -11,9 +11,9 @@
 // with all of that warm optimization state and exposes an explicit
 // lifecycle:
 //
-//   load (construct) -> solve() -> query (throughput / edge loads /
-//   schedule()) -> mutate (set_link_cost / scale_link_time / remove_link /
-//   add_node) -> re-solve (the next solve() call is a warm delta re-plan)
+//   load (construct) -> solve() -> query (throughput / edge loads) ->
+//   mutate (set_link_cost / scale_link_time / remove_link / add_node) ->
+//   re-solve (the next solve() call is a warm delta re-plan)
 //
 // Solver state held across calls:
 //
@@ -38,8 +38,12 @@
 //    times) and only the pricing gap is closed -- the pool-seeded re-solve
 //    of the ROADMAP.
 //
-//  * Schedule synthesis: the current platform version's PeriodicSchedule,
-//    re-synthesized lazily after mutations.
+//  * Schedule synthesis is not session state: a plan's executable schedule
+//    is synthesize_schedule(session.platform(), session.solve()), with the
+//    cutting options' port model and pool (sched/orchestrate.hpp).  It
+//    decomposes the plan's edge loads -- or adopts a heuristic-tier plan's
+//    tree -- so it never ships more over an arc than the plan's load.  The
+//    service stores the newest one per source.
 //
 // add_node is the structural fallback: pooled cuts are no longer
 // source->w cuts of the grown graph and pooled trees no longer span, so
@@ -63,11 +67,9 @@
 #include <vector>
 
 #include "platform/platform.hpp"
-#include "sched/periodic_schedule.hpp"
 #include "ssb/ssb_column_generation.hpp"
 #include "ssb/ssb_cutting_plane.hpp"
 #include "ssb/ssb_solution.hpp"
-#include "util/timer.hpp"
 
 namespace bt {
 
@@ -75,8 +77,7 @@ struct PlannerSessionOptions {
   /// Options of the standing cutting-plane masters (the TP* reference
   /// path; solve()).
   SsbCuttingPlaneOptions cutting;
-  /// Options of the packing master (solve_packing()); its tree columns
-  /// also feed schedule() when fresh.
+  /// Options of the packing master (solve_packing()).
   SsbColumnGenOptions colgen;
 };
 
@@ -88,7 +89,6 @@ struct PlannerSessionStats {
   std::uint64_t cutting_solves = 0;   ///< solve() runs that did LP work
   std::uint64_t warm_resolves = 0;    ///< ... continuing standing masters
   std::uint64_t packing_solves = 0;   ///< solve_packing() runs with LP work
-  std::uint64_t schedules_built = 0;  ///< schedule() synthesis runs
   std::uint64_t mutations = 0;        ///< platform deltas applied
   std::uint64_t kill_rows = 0;        ///< arc columns retired by n_e <= 0 rows
   std::uint64_t replacement_columns = 0;  ///< arc columns re-entered
@@ -104,19 +104,16 @@ struct PlannerSessionStats {
 ///   warm/cold LP solve (kExact) -> rollback + pool-rebuild LP solve
 ///   (kRebuild) -> LP-load-priced single arborescence (kHeuristic)
 ///
-/// falling one rung per failure.  Budgets bound the LP rungs: a solve whose
-/// cumulative master pivots reach `pivot_budget`, or whose wall clock passes
-/// `wall_budget_ms`, aborts at the next separation-round boundary and the
-/// ladder drops straight to the heuristic rung (a rebuild would only burn
-/// the budget again).  Budgets are checked between rounds, so the first
-/// round always completes -- the budget is a deadline, not a starvation
-/// knob.  Pivot budgets are deterministic (pivot counts are bitwise
-/// width-invariant); wall budgets are best-effort and should not be used
-/// where reproducibility matters.
+/// falling one rung per failure.  The pivot budget bounds the LP rungs: a
+/// solve whose cumulative master pivots reach `pivot_budget` aborts at the
+/// next separation-round boundary and the ladder drops straight to the
+/// heuristic rung (a rebuild would only burn the budget again); any other
+/// failure tries the rebuild rung first.  The budget is checked between
+/// rounds, so the first round always completes -- it is a deadline, not a
+/// starvation knob -- and it is deterministic (pivot counts are bitwise
+/// width-invariant).
 struct LadderOptions {
   std::size_t pivot_budget = 0;   ///< 0 = unlimited
-  double wall_budget_ms = 0.0;    ///< 0 = unlimited (best-effort, non-deterministic)
-  bool allow_rebuild = true;      ///< permit the kRebuild rung
   bool allow_heuristic = true;    ///< permit the kHeuristic rung (else rethrow)
 };
 
@@ -161,8 +158,6 @@ class PlannerSession {
 
   const Platform& platform() const { return platform_; }
   const PlannerSessionOptions& options() const { return options_; }
-  /// Bumped by every mutation; schedule/solution caches key on it.
-  std::uint64_t version() const { return version_; }
   bool link_removed(EdgeId e) const;
   const PlannerSessionStats& stats() const { return stats_; }
 
@@ -177,8 +172,8 @@ class PlannerSession {
   /// platform can broadcast at all -- it degrades instead, and the answer's
   /// SsbSolution::tier / quality_gap say how far.  A heuristic-tier answer
   /// caches like any other solution (the next mutation clears it) and
-  /// carries its tree in tree_columns, so schedule() synthesizes from it
-  /// directly.
+  /// carries its tree in tree_columns, so synthesize_schedule adopts that
+  /// tree instead of decomposing loads.
   const SsbSolution& solve_laddered(const LadderOptions& ladder = {});
 
   /// TP* of the current platform (solve() + one field).
@@ -187,11 +182,6 @@ class PlannerSession {
   /// Solve (or pool-seeded re-solve) the packing master: TP* plus the
   /// explicit multi-tree schedule columns.  Cached until the next mutation.
   const SsbPackingSolution& solve_packing();
-
-  /// The synthesized periodic schedule of the current platform version,
-  /// built lazily and cached.  Uses the packing solution's exact tree
-  /// columns when they are fresh, else decomposes the cutting-plane loads.
-  const PeriodicSchedule& schedule();
 
   // ---- mutation layer -----------------------------------------------------
 
@@ -262,7 +252,6 @@ class PlannerSession {
   Platform platform_;
   PlannerSessionOptions options_;
   std::vector<char> removed_;
-  std::uint64_t version_ = 0;
   PlannerSessionStats stats_;
 
   // ---- cutting-plane state ----
@@ -296,16 +285,10 @@ class PlannerSession {
   bool packing_dirty_ = true;
   SsbPackingSolution packing_solution_;
 
-  // ---- schedule cache ----
-  std::unique_ptr<PeriodicSchedule> schedule_;
-  std::uint64_t schedule_version_ = 0;
-
   // ---- ladder state ----
-  /// Budgets of the solve_laddered call in flight (0 = unlimited outside
-  /// one); checked by run_cutting_solve at round boundaries.
+  /// Pivot budget of the solve_laddered call in flight (0 = unlimited
+  /// outside one); checked by run_cutting_solve at round boundaries.
   std::size_t pivot_budget_ = 0;
-  double wall_budget_ms_ = 0.0;
-  Timer budget_timer_;
   bool budget_hit_ = false;
   /// The most recent LP-optimal answer: prices the heuristic rung's
   /// arborescence and anchors quality_gap.

@@ -59,13 +59,6 @@ struct SsbColumnGenOptions : SsbSolveOptions {
   /// (no improving column), the round re-prices with the exact duals, so
   /// convergence and optimality are unaffected.  0 disables.
   double dual_smoothing = 0.5;
-  /// Publish the positive-rate columns through the base class's
-  /// SsbSolution::tree_columns (on by default), so colgen-sourced schedule
-  /// synthesis -- and planner sessions seeding re-solves from the column
-  /// pool -- skip the edge-load decomposition heuristic entirely (the
-  /// master's columns are an exact decomposition).  Disable to measure the
-  /// decomposer on colgen loads.
-  bool export_tree_columns = true;
 };
 
 /// Solve the SSB program by arborescence column generation.  Throws

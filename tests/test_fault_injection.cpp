@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "platform/random_generator.hpp"
+#include "sched/orchestrate.hpp"
 #include "service/planner_service.hpp"
 #include "ssb/planner_session.hpp"
 #include "ssb/ssb_cutting_plane.hpp"
@@ -286,8 +287,8 @@ TEST(LadderBudget, HeuristicWithoutHistoryStillBroadcasts) {
   EXPECT_EQ(degraded.tier, PlanTier::kHeuristic);
   EXPECT_GT(degraded.throughput, 0.0);
   EXPECT_EQ(degraded.quality_gap, 0.0);
-  // And the schedule path synthesizes the single tree without LP work.
-  EXPECT_GT(session.schedule().throughput(), 0.0);
+  // And the degraded plan synthesizes its single tree without LP work.
+  EXPECT_GT(synthesize_schedule(session.platform(), degraded).throughput(), 0.0);
 }
 
 TEST(LadderBudget, DisallowedHeuristicRethrows) {

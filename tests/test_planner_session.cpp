@@ -1,8 +1,8 @@
 // Tests for the long-lived PlannerSession (ssb/planner_session.hpp): the
 // load -> solve -> query -> mutate -> re-solve lifecycle, the differential
 // guarantee that warm delta re-plans agree with cold solves to <= 1e-9
-// relative throughput, the error-rollback contract, and the schedule /
-// packing-pool caching.
+// relative throughput, the error-rollback contract, the packing-pool
+// caching, and the schedules synthesized from the session's plans.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 
 #include "platform/platform.hpp"
 #include "platform/random_generator.hpp"
+#include "sched/orchestrate.hpp"
 #include "ssb/planner_session.hpp"
 #include "ssb/ssb_column_generation.hpp"
 #include "ssb/ssb_cutting_plane.hpp"
@@ -179,22 +180,20 @@ TEST(PlannerSession, GrowPlatformValidates) {
   EXPECT_EQ(grown.graph().to(p.num_edges()), p.num_nodes());
 }
 
-TEST(PlannerSession, ScheduleIsCachedPerVersionAndTracksThroughput) {
+TEST(PlannerSession, SynthesizedScheduleTracksThroughputAcrossMutations) {
+  // The schedule of a session's plan never beats the LP optimum and stays
+  // within the synthesis guarantees (see test_sched.cpp for the tight
+  // dyadic cases), before and after a warm re-plan.
   const Platform p = random_platform(12, 99);
   PlannerSession session(p);
-  const PeriodicSchedule& sched0 = session.schedule();
+  const PeriodicSchedule sched0 = synthesize_schedule(session.platform(), session.solve());
   const double tp = session.throughput();
-  // The realized schedule never beats the LP optimum and stays within the
-  // synthesis guarantees (see test_sched.cpp for the tight dyadic cases).
   EXPECT_LE(sched0.throughput(), tp * (1.0 + 1e-9));
   EXPECT_GE(sched0.throughput(), tp * 0.45);
-  EXPECT_EQ(&session.schedule(), &sched0);  // cached object
-  EXPECT_EQ(session.stats().schedules_built, 1u);
 
   const EdgeId e = 0;
   session.scale_link_time(e, 1.8);
-  const PeriodicSchedule& sched1 = session.schedule();
-  EXPECT_EQ(session.stats().schedules_built, 2u);
+  const PeriodicSchedule sched1 = synthesize_schedule(session.platform(), session.solve());
   const double tp1 = session.throughput();
   EXPECT_LE(sched1.throughput(), tp1 * (1.0 + 1e-9));
   EXPECT_GE(sched1.throughput(), tp1 * 0.45);

@@ -125,12 +125,6 @@ TEST(TreeDecomposition, AdoptsColgenColumnsAndCanBeForcedToReconstruct) {
   EXPECT_NEAR(rebuilt.throughput, solution.throughput,
               2e-6 * std::max(1.0, solution.throughput));
   EXPECT_LE(rebuilt.trees.size(), platform.num_edges());
-
-  SsbColumnGenOptions no_export;
-  no_export.export_tree_columns = false;
-  const SsbPackingSolution stripped = solve_ssb_column_generation(platform, no_export);
-  EXPECT_TRUE(stripped.tree_columns.empty());
-  EXPECT_FALSE(stripped.trees.empty());  // the packing-specific field remains
 }
 
 TEST(TreeDecomposition, RejectsDegenerateInputs) {

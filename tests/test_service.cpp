@@ -1,8 +1,9 @@
-// Tests for the broadcast-planning service (service/planner_service.hpp)
-// and its building blocks: the LRU cache, the read/write guard discipline,
-// session eviction, mutation invalidation, and concurrent readers against
-// a mutating writer.  The concurrency tests run under the ThreadSanitizer
-// CI lane (BT_SANITIZE=thread).
+// Tests for the broadcast-planning service (service/planner_service.hpp):
+// the one stored answer per source and its invalidation by mutations,
+// schedules that execute the served plan whatever the call order, session
+// eviction, the degradation ladder, async re-planning, and concurrent
+// readers against a mutating writer.  The concurrency tests run under the
+// ThreadSanitizer CI lane (BT_SANITIZE=thread).
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,6 @@
 #include "ssb/ssb_cutting_plane.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
-#include "util/lru_cache.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -39,39 +39,11 @@ double rel_diff(double a, double b) {
   return std::abs(a - b) / std::max({1.0, std::abs(a), std::abs(b)});
 }
 
-TEST(LruCache, EvictsLeastRecentlyUsed) {
-  LruCache<int, std::shared_ptr<int>> cache(2);
-  cache.put(1, std::make_shared<int>(10));
-  cache.put(2, std::make_shared<int>(20));
-  ASSERT_TRUE(cache.get(1).has_value());  // 1 becomes most recent
-  cache.put(3, std::make_shared<int>(30));
-  EXPECT_FALSE(cache.get(2).has_value());  // 2 was LRU -> evicted
-  EXPECT_TRUE(cache.get(1).has_value());
-  EXPECT_TRUE(cache.get(3).has_value());
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(LruCache, PutRefreshesExistingKey) {
-  LruCache<int, std::shared_ptr<int>> cache(2);
-  cache.put(1, std::make_shared<int>(10));
-  cache.put(2, std::make_shared<int>(20));
-  cache.put(1, std::make_shared<int>(11));  // refresh, no eviction
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(**cache.get(1), 11);
-  cache.put(3, std::make_shared<int>(30));
-  EXPECT_FALSE(cache.get(2).has_value());
-}
-
-TEST(LruCache, RejectsZeroCapacity) {
-  EXPECT_THROW((LruCache<int, int>(0)), Error);
-}
-
 TEST(PlannerService, PlanIsCachedByPointerIdentityUntilMutation) {
   PlannerService service(random_platform(12, 7));
   const auto plan0 = service.plan(0);
   const auto plan1 = service.plan(0);
-  EXPECT_EQ(plan0.get(), plan1.get());  // cache hit: same snapshot
+  EXPECT_EQ(plan0.get(), plan1.get());  // store hit: same snapshot
   EXPECT_EQ(service.stats().solves, 1u);
   EXPECT_GE(service.stats().plan_cache_hits, 1u);
 
@@ -116,8 +88,8 @@ TEST(PlannerService, EvictsSessionsPastMaxAndRecreatesOnDemand) {
   service.throughput(2);  // evicts source 0's session
   EXPECT_EQ(service.stats().sessions_created, 3u);
   EXPECT_EQ(service.stats().sessions_evicted, 1u);
-  // Source 0 is still served (plan cache may answer; after a mutation a
-  // fresh session is built transparently).
+  // Source 0 is still served (its stored plan may answer; after a mutation
+  // a fresh session is built transparently).
   service.scale_link_time(0, 1.2);
   EXPECT_GT(service.throughput(0), 0.0);
   EXPECT_EQ(service.stats().sessions_evicted, 2u);
@@ -163,6 +135,30 @@ TEST(PlannerService, ScheduleIsCachedAndInvalidated) {
   EXPECT_GE(service.stats().schedules_built, 2u);
 }
 
+TEST(PlannerService, ScheduleExecutesTheServedPlanWhateverTheCallOrder) {
+  // The schedule of a version executes that version's plan even when it is
+  // read first: per-arc rates within the plan's loads, total rate within
+  // its TP*.  (Reading the schedule before the plan used to synthesize from
+  // a fresh column-generation solve, overrunning arcs the plan leaves idle.)
+  for (std::size_t n : {12, 24}) {
+    for (std::uint64_t seed : {7, 42}) {
+      PlannerService service(random_platform(n, seed));
+      service.plan(0);
+      service.scale_link_time(1, 1.7);
+      const auto schedule = service.schedule(0);
+      const auto plan = service.plan(0);
+      ScheduleCheckOptions options;
+      options.reference = plan.get();
+      const ScheduleCheck check =
+          check_schedule(service.platform_snapshot().with_source(0), *schedule, options);
+      EXPECT_TRUE(check.ok) << "n=" << n << " seed " << seed << ": "
+                            << (check.violations.empty() ? "" : check.violations.front());
+      EXPECT_LE(schedule->throughput(), plan->throughput * (1.0 + 1e-12))
+          << "n=" << n << " seed " << seed;
+    }
+  }
+}
+
 TEST(PlannerService, AddNodeGrowsEverySession) {
   const Platform p = random_platform(8, 123);
   PlannerService service(p);
@@ -198,7 +194,7 @@ TEST(PlannerService, ScheduleSnapshotSurvivesRemoveLink) {
   ASSERT_FALSE(snapshot->trees.empty());
   const EdgeId victim = snapshot->trees[0].edges.front();
   service.remove_link(victim);
-  EXPECT_EQ(service.version(), version_before + 1);  // cache invalidation pin
+  EXPECT_EQ(service.version(), version_before + 1);  // store invalidation pin
 
   auto rebuilt = service.schedule(0);
   ASSERT_NE(rebuilt, nullptr);
@@ -403,7 +399,8 @@ TEST(PlannerServiceAsync, MutationsEnqueueAndPollPicksUpTheNewBuild) {
   options.async_replan = true;
   PlannerService service(p, options);
 
-  // First request per source still solves synchronously and publishes.
+  // First request per source still solves its plan and schedule
+  // synchronously.
   service.plan(0);
   auto first_build = service.schedule(0);
   ScheduleSubscription sub;
@@ -424,7 +421,7 @@ TEST(PlannerServiceAsync, MutationsEnqueueAndPollPicksUpTheNewBuild) {
   ASSERT_NE(rebuilt, nullptr);
   EXPECT_NE(rebuilt.get(), first_build.get());
 
-  // And the published plan matches a batch solve of the mutated platform.
+  // And the stored plan matches a batch solve of the mutated platform.
   Platform mutated = service.platform_snapshot();
   EXPECT_LE(rel_diff(service.plan(0)->throughput,
                      solve_ssb_cutting_plane(mutated.with_source(0)).throughput),
